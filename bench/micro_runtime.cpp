@@ -76,7 +76,9 @@ void BM_RangeMapAssignQuery(benchmark::State& state) {
       const std::int64_t a = rng.uniform_int(0, 1 << 20);
       const std::int64_t b = a + rng.uniform_int(1, 4096);
       map.assign({a, b}, i);
-      checksum += static_cast<std::int64_t>(map.query({a, b}).size());
+      map.for_each_overlapping({a, b}, [&checksum](Interval, int) {
+        ++checksum;
+      });
     }
     benchmark::DoNotOptimize(checksum);
   }
@@ -115,7 +117,33 @@ void BM_TaskGraphBuild(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           (2 * chunks + 1));
 }
-BENCHMARK(BM_TaskGraphBuild)->Arg(12)->Arg(96)->Arg(768);
+BENCHMARK(BM_TaskGraphBuild)
+    ->Arg(12)->Arg(48)->Arg(96)->Arg(384)->Arg(768)->Arg(1536)->Arg(6144);
+
+/// The WAR-heavy shape of STREAM with sync off: three map kernels rotate
+/// over three buffers for four rounds with no taskwait in between, so each
+/// write overwrites a range read one kernel earlier and meets live readers.
+void BM_TaskGraphBuildWar(benchmark::State& state) {
+  const auto chunks = static_cast<int>(state.range(0));
+  constexpr int kRounds = 4;
+  std::vector<rt::KernelDef> kernels;
+  kernels.push_back(rt::testing::make_map_kernel("k0", 0, 1));
+  kernels.push_back(rt::testing::make_map_kernel("k1", 1, 2));
+  kernels.push_back(rt::testing::make_map_kernel("k2", 2, 0));
+  rt::Program program;
+  for (int round = 0; round < kRounds; ++round)
+    for (rt::KernelId k = 0; k < kernels.size(); ++k)
+      program.submit_chunked(k, 0, 4096L * chunks, chunks);
+  program.taskwait();
+  for (auto _ : state) {
+    rt::TaskGraph graph(kernels, program);
+    benchmark::DoNotOptimize(graph.edge_count());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(program.ops().size()));
+}
+BENCHMARK(BM_TaskGraphBuildWar)
+    ->Arg(12)->Arg(48)->Arg(96)->Arg(384)->Arg(768)->Arg(1536)->Arg(6144);
 
 void BM_ExecutorFullRun(benchmark::State& state) {
   const auto chunks = static_cast<int>(state.range(0));

@@ -52,12 +52,9 @@ class IntervalSet {
   bool empty() const { return spans_.empty(); }
   std::size_t span_count() const { return spans_.size(); }
 
-  /// Total number of points covered.
-  std::int64_t measure() const {
-    std::int64_t total = 0;
-    for (const auto& [b, e] : spans_) total += e - b;
-    return total;
-  }
+  /// Total number of points covered: a running total kept by insert/erase,
+  /// so residency accounting never re-walks the spans.
+  std::int64_t measure() const { return measure_; }
 
   /// Adds an interval, coalescing with any overlapping/adjacent spans.
   void insert(Interval iv) {
@@ -71,31 +68,47 @@ class IntervalSet {
     while (it != spans_.end() && it->first <= iv.end) {
       iv.begin = std::min(iv.begin, it->first);
       iv.end = std::max(iv.end, it->second);
+      measure_ -= it->second - it->first;
       it = spans_.erase(it);
     }
-    spans_.emplace(iv.begin, iv.end);
+    spans_.emplace_hint(it, iv.begin, iv.end);
+    measure_ += iv.length();
   }
 
   void insert(const IntervalSet& other) {
     for (const auto& [b, e] : other.spans_) insert({b, e});
   }
 
-  /// Removes all points of `iv` from the set (splitting spans as needed).
+  /// Removes all points of `iv` from the set. Only the (at most two) spans
+  /// straddling an end of `iv` survive, trimmed in place.
   void erase(Interval iv) {
     if (iv.empty() || spans_.empty()) return;
     auto it = spans_.lower_bound(iv.begin);
     if (it != spans_.begin()) {
       auto prev = std::prev(it);
-      if (prev->second > iv.begin) it = prev;
+      if (prev->second > iv.begin) {
+        const std::int64_t end = prev->second;
+        prev->second = iv.begin;
+        measure_ -= end - iv.begin;
+        if (end > iv.end) {  // `iv` lies strictly inside: split the span
+          spans_.emplace_hint(it, iv.end, end);
+          measure_ += end - iv.end;
+          return;
+        }
+      }
     }
-    std::vector<Interval> to_add;
     while (it != spans_.end() && it->first < iv.end) {
-      const Interval span{it->first, it->second};
+      if (it->second > iv.end) {
+        // Straddles the end: re-key its node at iv.end (no allocation).
+        auto node = spans_.extract(it++);
+        measure_ -= iv.end - node.key();
+        node.key() = iv.end;
+        spans_.insert(it, std::move(node));
+        return;
+      }
+      measure_ -= it->second - it->first;
       it = spans_.erase(it);
-      if (span.begin < iv.begin) to_add.push_back({span.begin, iv.begin});
-      if (span.end > iv.end) to_add.push_back({iv.end, span.end});
     }
-    for (const auto& piece : to_add) spans_.emplace(piece.begin, piece.end);
   }
 
   /// True iff every point of `iv` is covered.
@@ -162,6 +175,7 @@ class IntervalSet {
  private:
   // begin -> end, canonical form.
   std::map<std::int64_t, std::int64_t> spans_;
+  std::int64_t measure_ = 0;  // sum of span lengths
 };
 
 }  // namespace hetsched

@@ -55,8 +55,19 @@ class Parser {
 
   Value parse_value() {
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // The parser recurses per level, so bound the nesting: hostile
+        // input must not overflow the stack. A throw abandons the parser,
+        // so the count needs no unwinding.
+        if (depth_ == kMaxParseDepth)
+          fail("nesting deeper than " + std::to_string(kMaxParseDepth) +
+               " levels");
+        ++depth_;
+        Value value = text_[pos_] == '{' ? parse_object() : parse_array();
+        --depth_;
+        return value;
+      }
       case '"': return Value(parse_string());
       case 't':
         if (consume_literal("true")) return Value(true);
@@ -201,6 +212,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< open arrays/objects
 };
 
 void require_type(Value::Type actual, Value::Type expected,

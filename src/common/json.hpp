@@ -20,6 +20,11 @@
 /// what the sweep cache's "hit equals recompute" contract rests on.
 namespace hetsched::json {
 
+/// Deepest array/object nesting Value::parse accepts. Every document this
+/// library writes stays far below it; deeper input (e.g. a megabyte of `[`
+/// sent to the serve daemon) is rejected instead of exhausting the stack.
+inline constexpr int kMaxParseDepth = 256;
+
 class Value {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -39,8 +44,8 @@ class Value {
   Value(Array value) : type_(Type::kArray), array_(std::move(value)) {}
   Value(Object value) : type_(Type::kObject), object_(std::move(value)) {}
 
-  /// Parses one JSON document (throws InvalidArgument on malformed input or
-  /// trailing garbage).
+  /// Parses one JSON document (throws InvalidArgument on malformed input,
+  /// trailing garbage, or nesting deeper than kMaxParseDepth).
   static Value parse(std::string_view text);
 
   Type type() const { return type_; }

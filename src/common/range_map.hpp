@@ -29,45 +29,26 @@ class RangeMap {
   /// Assigns `value` to every point in `range`, overwriting previous values.
   void assign(Interval range, T value) {
     if (range.empty()) return;
-    erase(range);
-    spans_.emplace(range.begin, Span{range.end, std::move(value)});
+    auto it = spans_.lower_bound(range.begin);
+    if (it != spans_.end() && it->first == range.begin &&
+        it->second.end == range.end) {
+      // Exactly an existing span, as when a task rewrites the chunk an
+      // earlier one touched: overwrite it in place, without reallocating.
+      it->second.value = std::move(value);
+    } else {
+      it = spans_.emplace_hint(cut(range, it), range.begin,
+                               Span{range.end, std::move(value)});
+    }
     // Merge with equal-valued neighbours to keep the map compact.
-    coalesce_around(range.begin);
+    coalesce(it);
   }
 
   /// Removes all points of `range` from the map.
   void erase(Interval range) {
-    if (range.empty() || spans_.empty()) return;
-    auto it = spans_.lower_bound(range.begin);
-    if (it != spans_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second.end > range.begin) it = prev;
-    }
-    std::vector<std::pair<Interval, T>> to_add;
-    while (it != spans_.end() && it->first < range.end) {
-      const Interval span{it->first, it->second.end};
-      T value = std::move(it->second.value);
-      it = spans_.erase(it);
-      if (span.begin < range.begin)
-        to_add.emplace_back(Interval{span.begin, range.begin}, value);
-      if (span.end > range.end)
-        to_add.emplace_back(Interval{range.end, span.end}, std::move(value));
-    }
-    for (auto& [piece, value] : to_add)
-      spans_.emplace(piece.begin, Span{piece.end, std::move(value)});
+    if (!range.empty()) cut(range, spans_.lower_bound(range.begin));
   }
 
-  /// All (sub-range, value) pieces overlapping `range`, in order.
-  std::vector<Entry> query(Interval range) const {
-    std::vector<Entry> result;
-    for_each_overlapping(range, [&result](Interval piece, const T& value) {
-      result.push_back({piece, value});
-    });
-    return result;
-  }
-
-  /// Visits every (sub-range, value) piece overlapping `range`, in order —
-  /// the allocation-free form of query() for hot paths.
+  /// Visits every (sub-range, value) piece overlapping `range`, in order.
   template <typename Fn>
   void for_each_overlapping(Interval range, Fn&& fn) const {
     if (range.empty() || spans_.empty()) return;
@@ -78,21 +59,6 @@ class RangeMap {
           intersect({it->first, it->second.end}, range);
       if (!piece.empty()) fn(piece, it->second.value);
     }
-  }
-
-  /// Distinct values overlapping `range` (order of first appearance).
-  std::vector<T> values_overlapping(Interval range) const {
-    std::vector<T> result;
-    for (const Entry& entry : query(range)) {
-      bool seen = false;
-      for (const T& v : result)
-        if (v == entry.value) {
-          seen = true;
-          break;
-        }
-      if (!seen) result.push_back(entry.value);
-    }
-    return result;
   }
 
   void clear() { spans_.clear(); }
@@ -110,11 +76,36 @@ class RangeMap {
     std::int64_t end;
     T value;
   };
+  using Iterator = typename std::map<std::int64_t, Span>::iterator;
 
-  void coalesce_around(std::int64_t begin) {
-    auto it = spans_.find(begin);
-    if (it == spans_.end()) return;
-    // Merge with the predecessor if touching and equal-valued.
+  /// Removes all points of the non-empty `range`, given the first span at
+  /// or past its begin; returns the first span past it. Only the (at most
+  /// two) spans straddling an end of `range` survive, trimmed in place.
+  Iterator cut(Interval range, Iterator it) {
+    if (it != spans_.begin()) {
+      auto prev = std::prev(it);
+      if (prev->second.end > range.begin) {
+        const std::int64_t end = prev->second.end;
+        prev->second.end = range.begin;
+        if (end > range.end)  // `range` lies strictly inside: split
+          return spans_.emplace_hint(it, range.end,
+                                     Span{end, prev->second.value});
+      }
+    }
+    while (it != spans_.end() && it->first < range.end) {
+      if (it->second.end > range.end) {
+        // Straddles the end: re-key its node at range.end (no allocation).
+        auto node = spans_.extract(it++);
+        node.key() = range.end;
+        return spans_.insert(it, std::move(node));
+      }
+      it = spans_.erase(it);
+    }
+    return it;
+  }
+
+  /// Merges the span at `it` with touching, equal-valued neighbours.
+  void coalesce(Iterator it) {
     if (it != spans_.begin()) {
       auto prev = std::prev(it);
       if (prev->second.end == it->first &&
@@ -124,7 +115,6 @@ class RangeMap {
         it = prev;
       }
     }
-    // Merge with the successor likewise.
     auto next = std::next(it);
     if (next != spans_.end() && it->second.end == next->first &&
         it->second.value == next->second.value) {

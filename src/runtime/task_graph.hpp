@@ -19,6 +19,12 @@
 ///          overlapping range
 /// `taskwait` inserts a barrier node: it depends on everything submitted
 /// since the previous barrier, and everything after depends on it.
+///
+/// Per buffer, the last writers (and, for write-back eligibility, in one
+/// reverse sweep, the first later touchers) live in RangeMaps and the
+/// readers since the last write in a set indexed by byte range, so the
+/// build is near-linear in the accesses plus the edges for the paper apps
+/// (docs/runtime-semantics.md).
 namespace hetsched::rt {
 
 using TaskId = std::size_t;
@@ -70,9 +76,16 @@ class TaskGraph {
   /// (which guarantees acyclicity). Throws InternalError on violation.
   void check_acyclic() const;
 
+  /// While set (non-null), called with the inputs and result of every graph
+  /// built, from the building thread. A test seam: the differential test
+  /// replays each build of a whole scenario through a reference builder.
+  using BuildObserver = void (*)(const std::vector<KernelDef>& kernels,
+                                 const Program& program,
+                                 const TaskGraph& graph);
+  static void set_build_observer(BuildObserver observer);
+
  private:
   void add_edge(TaskId from, TaskId to);
-  void analyze_writeback();
 
   std::vector<TaskNode> nodes_;
   std::size_t edge_count_ = 0;

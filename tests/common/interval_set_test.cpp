@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 
 namespace hetsched {
@@ -206,6 +208,44 @@ TEST(IntervalSetProperty, MatchesBitmapModel) {
     std::int64_t uncovered = 0;
     for (const auto& gap : set.gaps_within(probe)) uncovered += gap.length();
     ASSERT_EQ(covered + uncovered, probe.length());
+  }
+}
+
+/// Property: the running measure() total kept by insert/erase equals the
+/// sum recomputed from the spans after every operation, including set
+/// unions and erases that split one span or trim two.
+TEST(IntervalSetProperty, CachedMeasureMatchesRecomputedSum) {
+  constexpr std::int64_t kUniverse = 300;
+  Rng rng(1506);
+  const auto random_interval = [&rng] {
+    const std::int64_t a = rng.uniform_int(0, kUniverse);
+    const std::int64_t b = rng.uniform_int(0, kUniverse);
+    return Interval{std::min(a, b), std::max(a, b)};
+  };
+  const auto recomputed = [](const IntervalSet& set) {
+    std::int64_t total = 0;
+    for (const Interval& span : set.to_vector()) total += span.length();
+    return total;
+  };
+  for (int trial = 0; trial < 40; ++trial) {
+    IntervalSet set;
+    for (int op = 0; op < 80; ++op) {
+      const double pick = rng.uniform();
+      if (pick < 0.45) {
+        set.insert(random_interval());
+      } else if (pick < 0.9) {
+        set.erase(random_interval());
+      } else {
+        IntervalSet other;
+        for (int i = 0; i < 3; ++i) other.insert(random_interval());
+        ASSERT_EQ(other.measure(), recomputed(other));
+        set.insert(other);
+      }
+      ASSERT_EQ(set.measure(), recomputed(set))
+          << "trial " << trial << " op " << op;
+    }
+    const IntervalSet copy = set;
+    ASSERT_EQ(copy.measure(), set.measure());
   }
 }
 

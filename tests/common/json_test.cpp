@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -48,6 +49,32 @@ TEST(JsonParse, RejectsMalformedInput) {
   EXPECT_THROW(Value::parse(R"("\ud83d")"), InvalidArgument);  // lone surrogate
   EXPECT_THROW(Value::parse(R"({"a":1,"a":2})"), InvalidArgument);  // dup key
   EXPECT_THROW(Value::parse("NaN"), InvalidArgument);
+}
+
+TEST(JsonParse, NestingUpToTheLimitParses) {
+  const std::string arrays = std::string(kMaxParseDepth, '[') +
+                             std::string(kMaxParseDepth, ']');
+  EXPECT_TRUE(Value::parse(arrays).is_array());
+  std::string objects;
+  for (int i = 0; i < kMaxParseDepth; ++i) objects += "{\"k\":";
+  objects += "1" + std::string(kMaxParseDepth, '}');
+  EXPECT_TRUE(Value::parse(objects).is_object());
+}
+
+TEST(JsonParse, NestingPastTheLimitThrowsInsteadOfOverflowing) {
+  const std::string one_too_deep = std::string(kMaxParseDepth + 1, '[') +
+                                   std::string(kMaxParseDepth + 1, ']');
+  EXPECT_THROW(Value::parse(one_too_deep), InvalidArgument);
+  // The input that once overflowed the stack: an unterminated run of '['.
+  try {
+    Value::parse(std::string(50'000, '['));
+    FAIL() << "deep nesting parsed";
+  } catch (const InvalidArgument& error) {
+    EXPECT_NE(std::string(error.what()).find("nesting"), std::string::npos);
+  }
+  std::string mixed;
+  for (int i = 0; i < 50'000; ++i) mixed += "{\"k\":[";
+  EXPECT_THROW(Value::parse(mixed), InvalidArgument);
 }
 
 TEST(JsonParse, TypeMismatchThrows) {

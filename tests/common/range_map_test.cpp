@@ -3,23 +3,33 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "common/rng.hpp"
 
 namespace hetsched {
 namespace {
 
+/// The (sub-range, value) pieces for_each_overlapping visits, in order.
+std::vector<RangeMap<int>::Entry> pieces_of(const RangeMap<int>& map,
+                                            Interval range) {
+  std::vector<RangeMap<int>::Entry> pieces;
+  map.for_each_overlapping(range, [&pieces](Interval piece, int value) {
+    pieces.push_back({piece, value});
+  });
+  return pieces;
+}
+
 TEST(RangeMap, EmptyQueries) {
   RangeMap<int> map;
   EXPECT_TRUE(map.empty());
-  EXPECT_TRUE(map.query({0, 100}).empty());
-  EXPECT_TRUE(map.values_overlapping({0, 100}).empty());
+  EXPECT_TRUE(pieces_of(map, {0, 100}).empty());
 }
 
 TEST(RangeMap, SimpleAssignAndQuery) {
   RangeMap<int> map;
   map.assign({10, 20}, 1);
-  const auto pieces = map.query({0, 100});
+  const auto pieces = pieces_of(map, {0, 100});
   ASSERT_EQ(pieces.size(), 1u);
   EXPECT_EQ(pieces[0].range, (Interval{10, 20}));
   EXPECT_EQ(pieces[0].value, 1);
@@ -29,7 +39,7 @@ TEST(RangeMap, LaterAssignOverwritesOverlap) {
   RangeMap<int> map;
   map.assign({0, 100}, 1);
   map.assign({40, 60}, 2);
-  const auto pieces = map.query({0, 100});
+  const auto pieces = pieces_of(map, {0, 100});
   ASSERT_EQ(pieces.size(), 3u);
   EXPECT_EQ(pieces[0].value, 1);
   EXPECT_EQ(pieces[0].range, (Interval{0, 40}));
@@ -54,27 +64,45 @@ TEST(RangeMap, EraseSplits) {
   RangeMap<int> map;
   map.assign({0, 100}, 5);
   map.erase({30, 70});
-  const auto pieces = map.query({0, 100});
+  const auto pieces = pieces_of(map, {0, 100});
   ASSERT_EQ(pieces.size(), 2u);
   EXPECT_EQ(pieces[0].range, (Interval{0, 30}));
   EXPECT_EQ(pieces[1].range, (Interval{70, 100}));
 }
 
-TEST(RangeMap, ValuesOverlappingDeduplicates) {
+TEST(RangeMap, ForEachOverlappingVisitsSeparatedEqualValues) {
   RangeMap<int> map;
   map.assign({0, 10}, 1);
   map.assign({20, 30}, 1);
   map.assign({40, 50}, 2);
-  const auto values = map.values_overlapping({0, 100});
-  ASSERT_EQ(values.size(), 2u);
-  EXPECT_EQ(values[0], 1);
-  EXPECT_EQ(values[1], 2);
+  const auto pieces = pieces_of(map, {5, 45});
+  ASSERT_EQ(pieces.size(), 3u);
+  EXPECT_EQ(pieces[0].range, (Interval{5, 10}));
+  EXPECT_EQ(pieces[0].value, 1);
+  EXPECT_EQ(pieces[1].range, (Interval{20, 30}));
+  EXPECT_EQ(pieces[1].value, 1);
+  EXPECT_EQ(pieces[2].range, (Interval{40, 45}));
+  EXPECT_EQ(pieces[2].value, 2);
+}
+
+TEST(RangeMap, EraseAcrossSpansTrimsBothEnds) {
+  RangeMap<int> map;
+  map.assign({0, 10}, 1);
+  map.assign({10, 20}, 2);
+  map.assign({20, 30}, 3);
+  map.erase({5, 25});
+  const auto pieces = pieces_of(map, {0, 100});
+  ASSERT_EQ(pieces.size(), 2u);
+  EXPECT_EQ(pieces[0].range, (Interval{0, 5}));
+  EXPECT_EQ(pieces[0].value, 1);
+  EXPECT_EQ(pieces[1].range, (Interval{25, 30}));
+  EXPECT_EQ(pieces[1].value, 3);
 }
 
 TEST(RangeMap, QueryClipsToProbe) {
   RangeMap<int> map;
   map.assign({0, 100}, 3);
-  const auto pieces = map.query({30, 40});
+  const auto pieces = pieces_of(map, {30, 40});
   ASSERT_EQ(pieces.size(), 1u);
   EXPECT_EQ(pieces[0].range, (Interval{30, 40}));
 }
@@ -118,6 +146,46 @@ TEST(RangeMapProperty, MatchesPointModel) {
         for (std::int64_t p = entry.range.begin; p < entry.range.end; ++p)
           expanded[p] = entry.value;
       ASSERT_EQ(expanded, model) << "trial " << trial << " op " << op;
+    }
+  }
+}
+
+/// Property: on endpoints from a coarse grid, so assigns and erases often
+/// meet span boundaries exactly, the map agrees with a per-point model and
+/// stays canonical: one span per maximal run of equal values.
+TEST(RangeMapProperty, GridAssignsStayCanonical) {
+  constexpr std::int64_t kCells = 12;
+  constexpr std::int64_t kCell = 10;
+  Rng rng(78);
+  for (int trial = 0; trial < 30; ++trial) {
+    RangeMap<int> map;
+    std::map<std::int64_t, int> model;  // point -> value
+    for (int op = 0; op < 80; ++op) {
+      const std::int64_t a = rng.uniform_int(0, kCells) * kCell;
+      const std::int64_t b = rng.uniform_int(0, kCells) * kCell;
+      const Interval iv{std::min(a, b), std::max(a, b)};
+      if (rng.uniform() < 0.8) {
+        const int value = static_cast<int>(rng.uniform_int(0, 2));
+        map.assign(iv, value);
+        for (std::int64_t p = iv.begin; p < iv.end; ++p) model[p] = value;
+      } else {
+        map.erase(iv);
+        for (std::int64_t p = iv.begin; p < iv.end; ++p) model.erase(p);
+      }
+
+      std::map<std::int64_t, int> expanded;
+      for (const auto& entry : map.to_vector())
+        for (std::int64_t p = entry.range.begin; p < entry.range.end; ++p)
+          expanded[p] = entry.value;
+      ASSERT_EQ(expanded, model) << "trial " << trial << " op " << op;
+      std::size_t runs = 0;
+      for (auto it = model.begin(); it != model.end(); ++it) {
+        const auto prev = it == model.begin() ? model.end() : std::prev(it);
+        if (prev == model.end() || prev->first + 1 != it->first ||
+            prev->second != it->second)
+          ++runs;
+      }
+      ASSERT_EQ(map.span_count(), runs) << "trial " << trial << " op " << op;
     }
   }
 }

@@ -158,6 +158,48 @@ TEST_F(TaskGraphTest, StreamStylePipelineHasPerChunkChains) {
   }
 }
 
+TEST_F(TaskGraphTest, WritebackLooksPastTaskwaitForTheNextToucher) {
+  // The next-toucher rule ignores barriers. B's next toucher is a kernel
+  // past the taskwait, so t0 keeps B resident (the barrier flushes it); C's
+  // is a host op past the second taskwait, so t2 writes C back eagerly.
+  Program program;
+  program.submit(0, 0, 100);  // 0: reads A, writes B
+  program.taskwait();         // 1
+  program.submit(1, 0, 100);  // 2: reads B, writes C
+  program.taskwait();         // 3
+  program.host_op({{testing::item_region(kC, 0, 100),
+                    mem::AccessMode::kRead}});  // 4
+  TaskGraph graph(kernels_, program);
+  ASSERT_EQ(graph.size(), 5u);
+  EXPECT_TRUE(graph.node(1).writeback_eligible.empty());  // barrier
+  EXPECT_EQ(graph.node(0).writeback_eligible,
+            (std::vector<bool>{false, false}));
+  EXPECT_EQ(graph.node(2).writeback_eligible,
+            (std::vector<bool>{false, true}));
+  EXPECT_EQ(graph.node(4).writeback_eligible, (std::vector<bool>{false}));
+}
+
+TEST_F(TaskGraphTest, ProgramTailOutputIsWritebackEligible) {
+  // No later node touches C at all: a program-tail output is written back
+  // as soon as its task completes; B, read by t1, stays resident.
+  Program program;
+  program.submit(0, 0, 100);  // t0: reads A, writes B
+  program.submit(1, 0, 50);   // t1: reads B[0,50), writes C[0,50)
+  TaskGraph graph(kernels_, program);
+  EXPECT_EQ(graph.node(0).writeback_eligible,
+            (std::vector<bool>{false, false}));
+  EXPECT_EQ(graph.node(1).writeback_eligible,
+            (std::vector<bool>{false, true}));
+  // t2 rewrites B[50,100), which t1 never read and nothing later touches:
+  // a tail output too, while t0 still has t1 as its next toucher.
+  program.submit(0, 50, 100);
+  TaskGraph longer(kernels_, program);
+  EXPECT_EQ(longer.node(0).writeback_eligible,
+            (std::vector<bool>{false, false}));
+  EXPECT_EQ(longer.node(2).writeback_eligible,
+            (std::vector<bool>{false, true}));
+}
+
 TEST_F(TaskGraphTest, PinnedDevicePropagates) {
   Program program;
   program.submit(0, 0, 100, hw::DeviceId{1});

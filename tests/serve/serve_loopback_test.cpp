@@ -175,6 +175,38 @@ TEST(ServeLoopbackTest, UnknownAppAnswersErrorAndKeepsServing) {
   server.wait();
 }
 
+TEST(ServeLoopbackTest, DeeplyNestedFrameAnswersErrorAndKeepsServing) {
+  // A frame of one million '[' (inside the 1 MiB frame bound) once
+  // overflowed the JSON parser's stack and killed the daemon. It must be
+  // refused with an error frame, and the daemon must answer the next
+  // request.
+  ServeOptions options;
+  options.workers = 2;
+  Server server(options);
+  server.start();
+  {
+    QueryClient client("127.0.0.1", server.port());
+    ASSERT_TRUE(write_all(client.fd(), std::string(1'000'000, '[') + "\n"));
+    FrameReader reader(client.fd());
+    std::string frame;
+    ASSERT_EQ(reader.read(frame), FrameReader::Result::kFrame);
+    const QueryResponse response =
+        QueryResponse::from_json(json::Value::parse(frame));
+    EXPECT_EQ(response.status, ResponseStatus::kError);
+    EXPECT_NE(response.error.find("nesting"), std::string::npos)
+        << response.error;
+  }
+  QueryRequest good;
+  good.app = "matrixmul";
+  good.small = true;
+  EXPECT_EQ(query_once("127.0.0.1", server.port(), good).status,
+            ResponseStatus::kOk);
+  EXPECT_EQ(server.responses_sent(ResponseStatus::kError), 1);
+
+  server.request_shutdown();
+  server.wait();
+}
+
 TEST(ServeLoopbackTest, OverloadAnswersAreWellFormedAndBounded) {
   // One worker wedged on an idle connection + a one-slot queue: every
   // further connection must get an explicit overload frame with the

@@ -4,6 +4,7 @@
 #include "analyzer/strategy.hpp"
 #include "apps/registry.hpp"
 #include "check/oracles.hpp"
+#include "obs/phase_profiler.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
@@ -18,14 +19,18 @@ constexpr const char* kOracle = "cache-transparency-serve";
 /// oracle probes serving transparency, not daemon startup, and a fresh
 /// Server per case would dominate the fuzz budget.
 serve::Server& shared_daemon() {
-  static serve::Server* daemon = [] {
+  static serve::Server& daemon = []() -> serve::Server& {
+    // ~Server stops the daemon and joins its workers at exit. Statics are
+    // destroyed in reverse order of construction, and the workers record
+    // into the phase profiler: construct that first so it outlives them.
+    obs::phase_profiler();
     serve::ServeOptions options;
     options.workers = 2;
-    auto* server = new serve::Server(options);  // lives for the process
-    server->start();
+    static serve::Server server(options);
+    server.start();
     return server;
   }();
-  return *daemon;
+  return daemon;
 }
 
 /// The query the case's scenario corresponds to. The op rotates by seed so

@@ -280,6 +280,11 @@ double Value::as_number() const {
 
 std::int64_t Value::as_int64() const {
   const double value = as_number();
+  // Casting a double outside [-2^63, 2^63) is undefined behaviour, so the
+  // range check must come first.
+  constexpr double kTwoTo63 = 9223372036854775808.0;
+  if (!(value >= -kTwoTo63 && value < kTwoTo63))
+    throw InvalidArgument("json number is out of int64 range");
   const auto truncated = static_cast<std::int64_t>(value);
   if (static_cast<double>(truncated) != value)
     throw InvalidArgument("json number is not an integer");

@@ -130,34 +130,4 @@ class Arena {
   std::uintptr_t limit_ = 0;
 };
 
-/// std::allocator-compatible adapter so standard containers (vector, etc.)
-/// can draw from an Arena. Deallocation is a no-op; memory comes back at
-/// Arena::reset().
-template <typename T>
-class ArenaAllocator {
- public:
-  using value_type = T;
-
-  explicit ArenaAllocator(Arena& arena) : arena_(&arena) {}
-  template <typename U>
-  ArenaAllocator(const ArenaAllocator<U>& other) : arena_(other.arena()) {}
-
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(arena_->allocate(n * sizeof(T), alignof(T)));
-  }
-  void deallocate(T*, std::size_t) {}
-
-  Arena* arena() const { return arena_; }
-
-  friend bool operator==(const ArenaAllocator& a, const ArenaAllocator& b) {
-    return a.arena_ == b.arena_;
-  }
-  friend bool operator!=(const ArenaAllocator& a, const ArenaAllocator& b) {
-    return a.arena_ != b.arena_;
-  }
-
- private:
-  Arena* arena_;
-};
-
 }  // namespace hetsched::mem

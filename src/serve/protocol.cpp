@@ -43,8 +43,13 @@ QueryRequest QueryRequest::from_json(const json::Value& value) {
     request.sync = sync->as_bool();
   if (const json::Value* small = value.find("small"))
     request.small = small->as_bool();
-  if (const json::Value* tasks = value.find("tasks"))
-    request.tasks = static_cast<int>(tasks->as_int64());
+  if (const json::Value* tasks = value.find("tasks")) {
+    const std::int64_t count = tasks->as_int64();
+    HS_REQUIRE(count >= 0 && count <= kMaxServedTasks,
+               "tasks must be in [0, " << kMaxServedTasks << "], got "
+                                       << count);
+    request.tasks = static_cast<int>(count);
+  }
   if (const json::Value* gantt = value.find("gantt"))
     request.gantt = gantt->as_bool();
   if (const json::Value* json_flag = value.find("json"))

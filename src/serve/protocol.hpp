@@ -36,6 +36,11 @@ inline constexpr const char* kProtocolVersion = "hs-serve-3";
 /// than buffered without limit.
 inline constexpr std::size_t kMaxFrameBytes = 1 << 20;
 
+/// Largest chunk count a query may ask for: the largest any benchmark uses
+/// (MatrixMul's 6144 rows, one per chunk). A frame is untrusted input, and
+/// the strategy runner allocates per task.
+inline constexpr std::int64_t kMaxServedTasks = 6144;
+
 /// One matchmaking query. `op` selects which offline verb the answer must
 /// be byte-identical to:
 ///   match      classify + strategy selection (hetsched_cli match)
@@ -53,7 +58,8 @@ struct QueryRequest {
   std::string strategy;
   bool sync = false;
   bool small = false;
-  /// Chunk count m (0 = strategy default), the CLI's --tasks.
+  /// Chunk count m (0 = strategy default), the CLI's --tasks. from_json
+  /// rejects values outside [0, kMaxServedTasks].
   int tasks = 0;
   /// analyze --gantt: append the timeline rendering.
   bool gantt = false;

@@ -32,6 +32,9 @@ using Clock = std::chrono::steady_clock;
 /// without limit in a long-running daemon.
 constexpr std::size_t kMaxAuditEntries = 4096;
 
+/// Shard count of the in-memory scenario cache.
+constexpr std::size_t kCacheShards = 8;
+
 void set_socket_timeouts(int fd, int timeout_ms) {
   timeval tv{};
   tv.tv_sec = timeout_ms / 1000;
@@ -57,8 +60,7 @@ Server::Server(ServeOptions options)
   HS_REQUIRE(options_.workers > 0, "serve needs at least one worker");
   if (!options_.cache_dir.empty())
     disk_ = std::make_unique<sweep::ResultCache>(options_.cache_dir);
-  cache_ = std::make_unique<ShardedScenarioCache>(options_.shards,
-                                                  disk_.get());
+  cache_ = std::make_unique<ShardedScenarioCache>(kCacheShards, disk_.get());
   queue_ = std::make_unique<AdmissionQueue>(options_.max_queue);
   metrics_.enable();
   metrics_.histogram_bounds(obs::kMetricServeRequestLatencyMs,

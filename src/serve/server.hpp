@@ -45,8 +45,6 @@ struct ServeOptions {
   unsigned workers = 4;
   /// Bounded pending-connection queue (admission control).
   std::size_t max_queue = 64;
-  /// Shard count of the in-memory scenario cache.
-  std::size_t shards = 8;
   /// On-disk sweep cache directory fronted by the shard cache; empty
   /// disables persistence.
   std::string cache_dir;

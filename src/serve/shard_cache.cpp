@@ -1,7 +1,5 @@
 #include "serve/shard_cache.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <optional>
 #include <utility>
 
@@ -11,116 +9,71 @@
 
 namespace hetsched::serve {
 
-ShardedScenarioCache::ShardedScenarioCache(std::size_t shards,
-                                           const sweep::ResultCache* disk)
-    : disk_(disk) {
-  shards_.reserve(std::max<std::size_t>(1, shards));
-  for (std::size_t i = 0; i < std::max<std::size_t>(1, shards); ++i)
-    shards_.push_back(std::make_unique<Shard>());
+std::size_t ShardedScenarioCache::KeyHash::operator()(
+    const std::string& key) const {
+  return static_cast<std::size_t>(sweep::fnv1a64(key));
 }
 
-std::size_t ShardedScenarioCache::shard_index(const std::string& key) const {
-  return static_cast<std::size_t>(sweep::fnv1a64(key)) % shards_.size();
-}
+ShardedScenarioCache::ShardedScenarioCache(std::size_t shards,
+                                           const sweep::ResultCache* disk)
+    : table_(shards), disk_(disk) {}
 
 ShardedScenarioCache::Lookup ShardedScenarioCache::get_or_compute(
     const std::string& key, const ComputeFn& compute,
     std::string_view caller_trace) {
   HS_REQUIRE(compute != nullptr, "get_or_compute without a compute function");
-  Shard& shard = *shards_[shard_index(key)];
-
-  std::shared_future<ValuePtr> flight;
-  std::string leader_trace;
-  std::promise<ValuePtr> promise;
   bool owner = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
-      flight = it->second.future;
-      leader_trace = it->second.owner_trace;
-    } else {
-      flight = promise.get_future().share();
-      shard.entries.emplace(key,
-                            Flight{flight, std::string(caller_trace)});
-      owner = true;
+  bool disk_hit = false;
+  // The owner consults the disk store inside its flight, so joiners of a
+  // disk-loaded key wait on the load rather than racing a computation.
+  const auto load_or_compute = [&]() -> std::string {
+    owner = true;
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    if (disk_ != nullptr) {
+      if (std::optional<std::string> stored = disk_->load(key)) {
+        disk_hits_.fetch_add(1, std::memory_order_relaxed);
+        disk_hit = true;
+        return *std::move(stored);
+      }
     }
-  }
-
-  if (!owner) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    Lookup lookup;
-    // A flight that is not ready yet means this lookup joins a live
-    // computation (and will block on the leader); a ready one is a plain
-    // in-memory hit. Sampled before the blocking get so the distinction
-    // lands in the request tree.
-    lookup.joined_flight = flight.wait_for(std::chrono::seconds(0)) !=
-                           std::future_status::ready;
-    lookup.leader_trace_id = std::move(leader_trace);
-    lookup.value = flight.get();  // rethrows the owner's exception, if any
-    lookup.hit = true;
-    return lookup;
-  }
-
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  Lookup lookup;
+    computes_.fetch_add(1, std::memory_order_relaxed);
+    return compute();
+  };
+  SingleFlight<std::string, KeyHash>::Result result;
   try {
-    std::optional<std::string> stored;
-    if (disk_ != nullptr) stored = disk_->load(key);
-    if (stored) {
-      disk_hits_.fetch_add(1, std::memory_order_relaxed);
-      lookup.value = std::make_shared<const std::string>(*std::move(stored));
-      lookup.disk_hit = true;
-    } else {
-      computes_.fetch_add(1, std::memory_order_relaxed);
-      lookup.value = std::make_shared<const std::string>(compute());
-    }
+    result = table_.get_or_compute(key, load_or_compute, caller_trace);
   } catch (...) {
-    // Propagate to every waiter of this flight, then forget the entry so
-    // the next request retries instead of serving a cached failure.
-    promise.set_exception(std::current_exception());
-    {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      shard.entries.erase(key);
-    }
+    // A joiner of a failed flight still counts as served by the entry.
+    if (!owner) hits_.fetch_add(1, std::memory_order_relaxed);
     throw;
   }
-  promise.set_value(lookup.value);
-  if (disk_ != nullptr && !lookup.disk_hit) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.dirty.emplace_back(key, lookup.value);
+  if (!owner) {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+  } else if (disk_ != nullptr && !disk_hit) {
+    std::lock_guard<std::mutex> lock(dirty_mutex_);
+    dirty_.emplace_back(key, result.value);
   }
-  return lookup;
+  return {std::move(result.value), !owner, disk_hit, result.joined,
+          std::move(result.leader)};
 }
 
 std::size_t ShardedScenarioCache::flush() {
   if (disk_ == nullptr) return 0;
+  std::vector<std::pair<std::string, ValuePtr>> dirty;
+  {
+    std::lock_guard<std::mutex> lock(dirty_mutex_);
+    dirty.swap(dirty_);
+  }
   std::size_t written = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::vector<std::pair<std::string, ValuePtr>> dirty;
-    {
-      std::lock_guard<std::mutex> lock(shard->mutex);
-      dirty.swap(shard->dirty);
-    }
-    for (const auto& [key, value] : dirty) {
-      if (disk_->store(key, *value)) {
-        flushed_.fetch_add(1, std::memory_order_relaxed);
-        ++written;
-      } else {
-        dropped_flushes_.fetch_add(1, std::memory_order_relaxed);
-      }
+  for (const auto& [key, value] : dirty) {
+    if (disk_->store(key, *value)) {
+      flushed_.fetch_add(1, std::memory_order_relaxed);
+      ++written;
+    } else {
+      dropped_flushes_.fetch_add(1, std::memory_order_relaxed);
     }
   }
   return written;
-}
-
-std::size_t ShardedScenarioCache::entries() const {
-  std::size_t total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->entries.size();
-  }
-  return total;
 }
 
 ShardCacheCounters ShardedScenarioCache::counters() const {

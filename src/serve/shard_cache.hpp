@@ -3,13 +3,14 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
+
+#include "common/single_flight.hpp"
 
 namespace hetsched::sweep {
 class ResultCache;
@@ -17,14 +18,10 @@ class ResultCache;
 
 /// Sharded in-memory scenario cache for the serve daemon.
 ///
-/// N mutex-guarded shards keyed by the FNV-1a digest of the canonical
-/// request key (sweep::fnv1a64 — the same content address the sweep cache
-/// uses), so concurrent requests for distinct keys proceed on distinct
-/// locks. Each shard is single-flight: the first caller of a key becomes
-/// its owner and computes the value while concurrent identical requests
-/// block on a shared_future instead of racing their own computation —
-/// exactly the sweep::ScenarioMemo discipline, lifted to a long-running
-/// process.
+/// A SingleFlight table whose N shards are keyed by the FNV-1a digest of
+/// the canonical request key (sweep::fnv1a64 — the same content address the
+/// sweep cache uses), so concurrent requests for distinct keys proceed on
+/// distinct locks and concurrent identical requests share one computation.
 ///
 /// The cache fronts an optional on-disk sweep::ResultCache: an owner first
 /// consults the store (a hit there is a disk_hit, no computation), and
@@ -91,30 +88,26 @@ class ShardedScenarioCache {
   /// disk store (no-op without one). Returns the number written.
   std::size_t flush();
 
-  std::size_t shard_count() const { return shards_.size(); }
+  std::size_t shard_count() const { return table_.shard_count(); }
   /// Shard index `key` maps to (exposed for tests).
-  std::size_t shard_index(const std::string& key) const;
+  std::size_t shard_index(const std::string& key) const {
+    return table_.shard_index(key);
+  }
   /// Total resident entries across shards.
-  std::size_t entries() const;
+  std::size_t entries() const { return table_.entries(); }
   ShardCacheCounters counters() const;
 
  private:
-  struct Flight {
-    std::shared_future<ValuePtr> future;
-    /// Trace id of the request that created (owns) this entry.
-    std::string owner_trace;
+  struct KeyHash {
+    std::size_t operator()(const std::string& key) const;
   };
 
-  struct Shard {
-    std::mutex mutex;
-    std::unordered_map<std::string, Flight> entries;
-    /// Keys whose value was computed here (not disk-loaded) and not yet
-    /// flushed, paired with the computed value so flush() needs no future.
-    std::vector<std::pair<std::string, ValuePtr>> dirty;
-  };
-
-  std::vector<std::unique_ptr<Shard>> shards_;
+  SingleFlight<std::string, KeyHash> table_;
   const sweep::ResultCache* disk_;
+  std::mutex dirty_mutex_;
+  /// Keys whose value was computed here (not disk-loaded) and not yet
+  /// flushed, paired with the computed value.
+  std::vector<std::pair<std::string, ValuePtr>> dirty_;
   std::atomic<std::int64_t> hits_{0};
   std::atomic<std::int64_t> misses_{0};
   std::atomic<std::int64_t> disk_hits_{0};

@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "common/error.hpp"
+#include "common/single_flight.hpp"
 #include "faults/fault_plan.hpp"
 #include "hw/platform.hpp"
 #include "obs/metrics.hpp"
@@ -156,6 +157,16 @@ ScenarioOutcome ScenarioOutcome::from_payload(const std::string& payload) {
   return outcome;
 }
 
+struct SweepEngine::RunMemo {
+  SingleFlight<ScenarioOutcome> table;
+  /// Baseline-twin lookups served by an outcome another lookup computed
+  /// (or is computing) this run.
+  std::atomic<std::size_t> twin_hits{0};
+  /// Baseline twins actually computed: S faulted scenarios sharing one
+  /// healthy twin => exactly 1.
+  std::atomic<std::size_t> twin_computes{0};
+};
+
 SweepEngine::SweepEngine(SweepOptions options)
     : options_(std::move(options)) {
   // The scenario cache key does not close over the explore spec, so a
@@ -169,7 +180,7 @@ ScenarioOutcome SweepEngine::compute(const Scenario& scenario) const {
 }
 
 ScenarioOutcome SweepEngine::compute_scenario(const Scenario& scenario,
-                                              MemoShard* memo) const {
+                                              RunMemo* memo) const {
   const obs::ScopedPhase profile_phase(obs::kPhaseSweepScenario);
   ScenarioOutcome outcome;
   outcome.scenario = scenario;
@@ -187,19 +198,17 @@ ScenarioOutcome SweepEngine::compute_scenario(const Scenario& scenario,
     Scenario healthy = scenario;
     healthy.fault_plan.clear();
     healthy.fault_seed = 0;
-    ScenarioMemo::OutcomePtr shared_base;
-    ScenarioOutcome owned_base;
-    const ScenarioOutcome* base = nullptr;
+    std::shared_ptr<const ScenarioOutcome> base;
     if (memo != nullptr) {
-      const ScenarioMemo::Lookup lookup = memo->get_or_compute(
+      auto lookup = memo->table.get_or_compute(
           scenario_key(healthy),
           [this, &healthy, memo] { return compute_scenario(healthy, memo); });
-      memo->note_twin_lookup(lookup.shared);
-      shared_base = lookup.outcome;
-      base = shared_base.get();
+      (lookup.owner ? memo->twin_computes : memo->twin_hits)
+          .fetch_add(1, std::memory_order_relaxed);
+      base = std::move(lookup.value);
     } else {
-      owned_base = compute_scenario(healthy, nullptr);
-      base = &owned_base;
+      base = std::make_shared<const ScenarioOutcome>(
+          compute_scenario(healthy, nullptr));
     }
     if (!base->ok()) {
       outcome.status = base->status;
@@ -369,43 +378,30 @@ SweepRun SweepEngine::run(const std::vector<Scenario>& scenarios) const {
   // scenarios (and catches a twin doubling as a top-level scenario, in
   // either order). `crossover_hits` counts top-level scenarios whose result
   // materialized from a twin somebody else computed.
-  ScenarioMemo memo;
+  RunMemo memo;
   std::atomic<std::size_t> crossover_hits{0};
-  const auto compute_into = [&](std::size_t index, MemoShard& shard) {
+  const auto compute_into = [&](std::size_t index) {
     const Clock::time_point begin = Clock::now();
-    const ScenarioMemo::Lookup lookup = shard.get_or_compute(
-        keys[index],
-        [this, &scenarios, &shard, index] {
-          return compute_scenario(scenarios[index], &shard);
+    const auto lookup = memo.table.get_or_compute(
+        keys[index], [this, &scenarios, &memo, index] {
+          return compute_scenario(scenarios[index], &memo);
         });
-    run.outcomes[index] = *lookup.outcome;
+    run.outcomes[index] = *lookup.value;
     // Equal keys imply equal results, but echo this row's own descriptor.
     run.outcomes[index].scenario = scenarios[index];
-    if (lookup.shared) {
+    if (!lookup.owner) {
       run.outcomes[index].memo_hit = true;
       run.outcomes[index].wall_ms = elapsed_ms(begin);
       crossover_hits.fetch_add(1, std::memory_order_relaxed);
     }
   };
   if (options_.parallel && misses.size() > 1) {
-    // Batched dispatch: K scenarios per worker job (K = 1 preserves the
-    // historical one-job-per-scenario shape). Each job reads through its
-    // own memo shard, so repeated twin lookups within a batch skip the
-    // shared table's mutex entirely.
-    const std::size_t batch = std::max<std::size_t>(1, options_.batch);
     rt::ThreadPool pool(options_.jobs);
-    for (std::size_t first = 0; first < misses.size(); first += batch) {
-      const std::size_t last = std::min(misses.size(), first + batch);
-      pool.enqueue([&compute_into, &memo, &misses, first, last] {
-        MemoShard shard(memo);
-        for (std::size_t j = first; j < last; ++j)
-          compute_into(misses[j], shard);
-      });
-    }
+    for (std::size_t index : misses)
+      pool.enqueue([&compute_into, index] { compute_into(index); });
     pool.wait_idle();
   } else {
-    MemoShard shard(memo);
-    for (std::size_t index : misses) compute_into(index, shard);
+    for (std::size_t index : misses) compute_into(index);
   }
 
   if (cache) {
@@ -432,11 +428,8 @@ SweepRun SweepEngine::run(const std::vector<Scenario>& scenarios) const {
   run.summary.computed = misses.size() - crossover_hits.load();
   run.summary.cache_hits = primaries.size() - misses.size();
   run.summary.scenario_dedup_hits = duplicates.size() + crossover_hits.load();
-  const MemoCounters memo_counters = memo.counters();
-  run.summary.twin_memo_hits =
-      static_cast<std::size_t>(memo_counters.twin_hits);
-  run.summary.twin_computes =
-      static_cast<std::size_t>(memo_counters.twin_computes);
+  run.summary.twin_memo_hits = memo.twin_hits.load();
+  run.summary.twin_computes = memo.twin_computes.load();
   if (cache) {
     run.summary.cache_misses = misses.size();
     const CacheCounters cache_counters = cache->counters();

@@ -6,7 +6,6 @@
 
 #include "runtime/explore.hpp"
 #include "sweep/cache.hpp"
-#include "sweep/memo.hpp"
 #include "sweep/scenario.hpp"
 
 namespace hetsched::obs {
@@ -119,13 +118,6 @@ struct SweepOptions {
   bool parallel = true;
   /// Worker count when parallel (0 = hardware concurrency).
   unsigned jobs = 0;
-  /// Scenarios per worker job when parallel (0 and 1 both mean one job per
-  /// scenario). Batching amortizes pool dispatch and lets each job answer
-  /// repeated baseline-twin lookups from a thread-local memo shard instead
-  /// of the shared single-flight table. Outcomes and summary counters are
-  /// identical for every batch size — this is purely a throughput knob for
-  /// large matrices of small scenarios.
-  std::size_t batch = 1;
   /// Reuse / populate the on-disk result cache.
   bool use_cache = false;
   std::string cache_dir = ".hs-sweep-cache";
@@ -192,11 +184,14 @@ class SweepEngine {
   ScenarioOutcome compute(const Scenario& scenario) const;
 
  private:
-  /// compute() with an optional memo shard: baseline twins resolve through
-  /// `memo` (one shard per worker job, all backed by the run's shared
-  /// single-flight table) when it is non-null.
+  /// One run()'s in-process memo: the single-flight table its workers
+  /// share, plus the baseline-twin counters its lookups feed.
+  struct RunMemo;
+
+  /// compute() with an optional memo: baseline twins resolve through
+  /// `memo` when it is non-null.
   ScenarioOutcome compute_scenario(const Scenario& scenario,
-                                   MemoShard* memo) const;
+                                   RunMemo* memo) const;
 
   SweepOptions options_;
 };

@@ -84,6 +84,18 @@ TEST(JsonParse, TypeMismatchThrows) {
   EXPECT_THROW(value.at("x"), InvalidArgument);
 }
 
+// Casting an out-of-range double to int64 is undefined behaviour; the
+// accessor must reject it before the cast (a float-cast-overflow sanitizer
+// build reports the cast itself).
+TEST(JsonParse, Int64OutOfRangeThrows) {
+  EXPECT_THROW(Value::parse("1e300").as_int64(), InvalidArgument);
+  EXPECT_THROW(Value::parse("-1e300").as_int64(), InvalidArgument);
+  EXPECT_THROW(Value::parse("9223372036854775808").as_int64(),
+               InvalidArgument);
+  EXPECT_EQ(Value::parse("-9223372036854775808").as_int64(),
+            std::numeric_limits<std::int64_t>::min());
+}
+
 TEST(JsonDump, BuildAndDump) {
   Value object;
   object.set("name", "sweep");

@@ -102,13 +102,5 @@ TEST(Arena, ReleaseDropsCapacity) {
   EXPECT_NE(arena.allocate(16, 8), nullptr);
 }
 
-TEST(ArenaAllocator, BacksStandardContainers) {
-  Arena arena;
-  std::vector<int, ArenaAllocator<int>> values{ArenaAllocator<int>(arena)};
-  for (int i = 0; i < 1000; ++i) values.push_back(i);
-  for (int i = 0; i < 1000; ++i) ASSERT_EQ(values[i], i);
-  EXPECT_GT(arena.bytes_allocated(), 1000 * sizeof(int) - 1);
-}
-
 }  // namespace
 }  // namespace hetsched::mem

@@ -52,6 +52,36 @@ TEST(QueryRequestTest, VersionMismatchThrows) {
   EXPECT_THROW(QueryRequest::from_json(frame), Error);
 }
 
+json::Value frame_with_tasks(const std::string& tasks_text) {
+  QueryRequest request;
+  request.app = "nbody";
+  json::Value frame = request.to_json();
+  frame.set("tasks", json::Value::parse(tasks_text));
+  return frame;
+}
+
+// A frame is untrusted: a tasks count must neither wrap through the int
+// cast (2^32 + 5 would be served as 5) nor ask the runner for billions of
+// per-task allocations.
+TEST(QueryRequestTest, TasksOutsideTheServedRangeAreRejected) {
+  for (const char* tasks : {"-1", "4294967301", "2000000000"}) {
+    EXPECT_THROW(QueryRequest::from_json(frame_with_tasks(tasks)),
+                 InvalidArgument)
+        << tasks;
+  }
+  EXPECT_THROW(QueryRequest::from_json(frame_with_tasks(
+                   std::to_string(kMaxServedTasks + 1))),
+               InvalidArgument);
+}
+
+TEST(QueryRequestTest, TasksUpToTheServedBoundParse) {
+  EXPECT_EQ(QueryRequest::from_json(frame_with_tasks("0")).tasks, 0);
+  EXPECT_EQ(QueryRequest::from_json(
+                frame_with_tasks(std::to_string(kMaxServedTasks)))
+                .tasks,
+            kMaxServedTasks);
+}
+
 TEST(QueryRequestTest, CacheKeyClosesOverAnswerAffectingFields) {
   QueryRequest a;
   a.app = "matrixmul";

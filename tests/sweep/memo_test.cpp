@@ -1,5 +1,3 @@
-#include "sweep/memo.hpp"
-
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,6 +5,7 @@
 #include <vector>
 
 #include "common/json.hpp"
+#include "common/single_flight.hpp"
 #include "obs/metrics.hpp"
 #include "sweep/bench.hpp"
 #include "sweep/sweep.hpp"
@@ -41,6 +40,9 @@ Scenario healthy_twin_of(const Scenario& faulted) {
   return healthy;
 }
 
+// The sweep's in-run memo is a SingleFlight<ScenarioOutcome>.
+using ScenarioMemo = SingleFlight<ScenarioOutcome>;
+
 TEST(ScenarioMemo, SingleFlightComputesOncePerKey) {
   ScenarioMemo memo;
   std::atomic<int> computes{0};
@@ -48,15 +50,15 @@ TEST(ScenarioMemo, SingleFlightComputesOncePerKey) {
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&] {
-      const ScenarioMemo::Lookup lookup =
+      const ScenarioMemo::Result lookup =
           memo.get_or_compute("the-key", [&computes] {
             computes.fetch_add(1);
             ScenarioOutcome outcome;
             outcome.error = "sentinel";
             return outcome;
           });
-      EXPECT_EQ(lookup.outcome->error, "sentinel");
-      if (lookup.shared) shared_lookups.fetch_add(1);
+      EXPECT_EQ(lookup.value->error, "sentinel");
+      if (!lookup.owner) shared_lookups.fetch_add(1);
     });
   }
   for (std::thread& thread : threads) thread.join();
@@ -72,21 +74,25 @@ TEST(ScenarioMemo, DistinctKeysComputeIndependently) {
     ++computes;
     return ScenarioOutcome{};
   };
-  EXPECT_FALSE(memo.get_or_compute("a", make).shared);
-  EXPECT_FALSE(memo.get_or_compute("b", make).shared);
-  EXPECT_TRUE(memo.get_or_compute("a", make).shared);
+  EXPECT_TRUE(memo.get_or_compute("a", make).owner);
+  EXPECT_TRUE(memo.get_or_compute("b", make).owner);
+  EXPECT_FALSE(memo.get_or_compute("a", make).owner);
   EXPECT_EQ(computes, 2);
   EXPECT_EQ(memo.entries(), 2u);
 }
 
+// Two healthy twins, each shared by two fault seeds: every twin lookup is
+// counted once, as a compute (the first) or a hit (the rest).
 TEST(ScenarioMemo, TwinLookupCountersSplitHitsFromComputes) {
-  ScenarioMemo memo;
-  memo.note_twin_lookup(false);
-  memo.note_twin_lookup(true);
-  memo.note_twin_lookup(true);
-  const MemoCounters counters = memo.counters();
-  EXPECT_EQ(counters.twin_computes, 1);
-  EXPECT_EQ(counters.twin_hits, 2);
+  Scenario other_app = storm_scenario(1);
+  other_app.app = apps::PaperApp::kBlackScholes;
+  Scenario other_app_seed2 = other_app;
+  other_app_seed2.fault_seed = 2;
+  const SweepRun run = SweepEngine(serial_options())
+                           .run({storm_scenario(1), other_app,
+                                 storm_scenario(2), other_app_seed2});
+  EXPECT_EQ(run.summary.twin_computes, 2u);
+  EXPECT_EQ(run.summary.twin_memo_hits, 2u);
 }
 
 // The acceptance bar: S faulted scenarios sharing one healthy twin perform

@@ -63,10 +63,11 @@ TEST(SimcoreDeterminism, CorpusScenariosReplayByteIdentically) {
   }
 }
 
-TEST(SimcoreDeterminism, BatchedSweepMatchesUnbatchedBitForBit) {
-  // The batch size is a dispatch-shape knob only: outcomes AND the twin
-  // memo counters must be identical for every K. Faulted seeds of one plan
-  // make the twin sharing observable (S seeds -> 1 baseline compute).
+TEST(SimcoreDeterminism, ParallelSweepMatchesSerialBitForBit) {
+  // Dispatch shape must not leak into results: outcomes AND the twin memo
+  // counters of a parallel run equal the serial reference. Faulted seeds of
+  // one plan make the twin sharing observable (S seeds -> 1 baseline
+  // compute).
   std::vector<Scenario> grid;
   for (int seed = 1; seed <= 6; ++seed) {
     Scenario scenario;
@@ -83,26 +84,20 @@ TEST(SimcoreDeterminism, BatchedSweepMatchesUnbatchedBitForBit) {
   serial.use_cache = false;
   const SweepRun reference = SweepEngine(serial).run(grid);
 
-  for (const std::size_t batch : {std::size_t{1}, std::size_t{3},
-                                  std::size_t{100}}) {
-    SweepOptions batched;
-    batched.parallel = true;
-    batched.jobs = 3;
-    batched.use_cache = false;
-    batched.batch = batch;
-    const SweepRun run = SweepEngine(batched).run(grid);
-    ASSERT_EQ(run.outcomes.size(), reference.outcomes.size()) << batch;
-    for (std::size_t i = 0; i < run.outcomes.size(); ++i) {
-      EXPECT_EQ(run.outcomes[i].to_payload(),
-                reference.outcomes[i].to_payload())
-          << "batch " << batch << " scenario " << i;
-    }
-    EXPECT_EQ(run.summary.twin_computes, reference.summary.twin_computes)
-        << batch;
-    EXPECT_EQ(run.summary.twin_memo_hits, reference.summary.twin_memo_hits)
-        << batch;
-    EXPECT_EQ(run.summary.computed, reference.summary.computed) << batch;
+  SweepOptions parallel;
+  parallel.parallel = true;
+  parallel.jobs = 3;
+  parallel.use_cache = false;
+  const SweepRun run = SweepEngine(parallel).run(grid);
+  ASSERT_EQ(run.outcomes.size(), reference.outcomes.size());
+  for (std::size_t i = 0; i < run.outcomes.size(); ++i) {
+    EXPECT_EQ(run.outcomes[i].to_payload(),
+              reference.outcomes[i].to_payload())
+        << "scenario " << i;
   }
+  EXPECT_EQ(run.summary.twin_computes, reference.summary.twin_computes);
+  EXPECT_EQ(run.summary.twin_memo_hits, reference.summary.twin_memo_hits);
+  EXPECT_EQ(run.summary.computed, reference.summary.computed);
 }
 
 TEST(SimcoreDeterminism, ArenaReuseAcrossRunsIsInvisible) {

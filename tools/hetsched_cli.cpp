@@ -14,11 +14,10 @@
 ///                        # task-size auto-tuning (paper Section V)
 ///   hetsched_cli sweep   [--apps a,b] [--strategies s1,s2]
 ///                        [--platforms p1,p2] [--sync-mode both|on|off]
-///                        [--small] [--serial] [--jobs N] [--batch K]
+///                        [--small] [--serial] [--jobs N]
 ///                        [--no-cache] [--cache-dir <dir>] [--json <file>]
 ///                        [--csv]
 ///                        # batch scenario sweep with result caching
-///                        # (--batch groups K scenarios per worker job)
 ///   hetsched_cli faults  [--plan <name>] [--seed <n>] [--app a|--apps a,b]
 ///                        [--strategies s1,s2] [--platform <p>] [--sync]
 ///                        [--small] [--tasks <m>] [--serial] [--jobs N]
@@ -47,7 +46,7 @@
 ///                        # --serve replays each case's query through a
 ///                        # loopback daemon (cache-transparency-serve)
 ///   hetsched_cli serve   [--port P] [--host H] [--workers N]
-///                        [--max-queue N] [--shards N] [--cache-dir <dir>]
+///                        [--max-queue N] [--cache-dir <dir>]
 ///                        [--announce-port] [--metrics-out <file>]
 ///                        [--trace-capacity N] [--log-format text|json]
 ///                        [--log-level debug|info|warn|error|off]
@@ -404,8 +403,6 @@ int cmd_sweep(const Args& args) {
   options.parallel = !args.flag("serial");
   if (args.flag("jobs"))
     options.jobs = static_cast<unsigned>(std::stoul(args.get("jobs")));
-  if (args.flag("batch"))
-    options.batch = static_cast<std::size_t>(std::stoul(args.get("batch")));
   options.use_cache = !args.flag("no-cache");
   options.cache_dir = args.get("cache-dir", ".hs-sweep-cache");
 
@@ -829,7 +826,6 @@ int cmd_serve(const Args& args) {
     options.workers = static_cast<unsigned>(std::stoul(args.get("workers")));
   if (args.flag("max-queue"))
     options.max_queue = std::stoul(args.get("max-queue"));
-  if (args.flag("shards")) options.shards = std::stoul(args.get("shards"));
   options.cache_dir = args.get("cache-dir");
   if (args.flag("trace-capacity"))
     options.trace_capacity = std::stoul(args.get("trace-capacity"));

@@ -23,8 +23,12 @@ class ImagePipelineApp final : public apps::Application {
  public:
   ImagePipelineApp(const hw::PlatformSpec& platform, std::int64_t rows,
                    std::int64_t cols)
-      : Application(platform, Config{rows, 1, true}, make_descriptor(),
-                    /*sync_each_iteration=*/false),
+      : Application(platform,
+                    Config{.items = rows,
+                           .iterations = 1,
+                           .functional = true,
+                           .costs = rt::RuntimeCosts{}},
+                    make_descriptor(), /*sync_each_iteration=*/false),
         rows_(rows),
         cols_(cols) {
     const std::int64_t row_bytes = cols_ * 4;

@@ -139,8 +139,7 @@ PlatformSpec make_cpu_gpu_phi_platform();
 PlatformSpec make_big_little_platform();
 
 /// Four-device paper-successor configuration: reference CPU + 2x Tesla K20m
-/// + Xeon Phi 5110P, all sharing one PCIe link. The widest shipped preset;
-/// the bench's sim_core_quad phase runs on it.
+/// + Xeon Phi 5110P, all sharing one PCIe link. The widest shipped preset.
 PlatformSpec make_quad_platform();
 
 /// Deterministic synthetic multi-accelerator platform drawn from `seed`

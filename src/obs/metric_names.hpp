@@ -5,7 +5,7 @@
 /// Central registry of serve-path and profiler metric names.
 ///
 /// Every metric the daemon registers is declared here (one `kMetric*`
-/// constant per name) so the server, the bench, the tests, and the docs
+/// constant per name) so the server, the tests, and the docs
 /// agree on spelling. The `lint.metric_names` ctest
 /// (tools/check_metric_names.cmake) parses this file and enforces:
 ///   - snake_case names ([a-z][a-z0-9_]*)

@@ -33,25 +33,6 @@ std::map<std::string, PhaseStats> PhaseProfiler::snapshot() const {
   return stages_;
 }
 
-json::Value PhaseProfiler::to_json() const {
-  const auto stages = snapshot();
-  json::Value root = json::Value(json::Value::Object{});
-  for (const auto& [stage, stats] : stages) {
-    json::Value entry = json::Value(json::Value::Object{});
-    entry.set("calls", json::Value(static_cast<double>(stats.calls)));
-    entry.set("total_ms", json::Value(stats.total_ms));
-    entry.set("self_ms", json::Value(stats.self_ms));
-    entry.set("max_ms", json::Value(stats.max_ms));
-    root.set(stage, std::move(entry));
-  }
-  return root;
-}
-
-void PhaseProfiler::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  stages_.clear();
-}
-
 PhaseProfiler& phase_profiler() {
   static PhaseProfiler profiler;
   return profiler;

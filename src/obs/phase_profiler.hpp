@@ -6,8 +6,6 @@
 #include <string>
 #include <string_view>
 
-#include "common/json.hpp"
-
 /// Always-on scoped phase profiler: per-process wall-time attribution
 /// across named stages of the serving and simulation pipeline.
 ///
@@ -17,11 +15,9 @@
 /// spent in nested phases), so "serve-compute" and the "sim-event-loop" it
 /// contains do not double-count when asking "where did the wall clock go".
 ///
-/// This is the measurement the ROADMAP's simulator-speed item tracks
-/// PR-over-PR: the snapshot appears in `/metrics` (as
-/// `phase_total_ms{stage=…}` / `phase_self_ms{stage=…}` /
-/// `phase_calls_total{stage=…}` gauges), in the daemon's final shutdown
-/// snapshot, and as the `phase_profile` section of BENCH_sweep.json.
+/// The snapshot appears in `/metrics` (as `phase_total_ms{stage=…}` /
+/// `phase_self_ms{stage=…}` / `phase_calls_total{stage=…}` gauges) and in
+/// the daemon's final shutdown snapshot.
 ///
 /// Cost when idle is zero; cost per phase is two steady_clock reads plus
 /// one short mutex hold at scope exit — negligible next to any stage worth
@@ -32,8 +28,7 @@ namespace hetsched::obs {
 
 /// Canonical stage names of the built-in instrumentation sites. Free-form
 /// names are allowed, but sharing these constants keeps the `/metrics`
-/// stage labels, the bench `phase_profile` section, and docs/observability
-/// in agreement.
+/// stage labels and docs/observability in agreement.
 inline constexpr std::string_view kPhaseAdmission = "admission";
 inline constexpr std::string_view kPhaseCache = "cache";
 inline constexpr std::string_view kPhaseCompute = "compute";
@@ -56,13 +51,6 @@ class PhaseProfiler {
 
   /// Snapshot of every stage seen so far, sorted by stage name.
   std::map<std::string, PhaseStats> snapshot() const;
-
-  /// Byte-stable JSON: {"stage": {"calls":…,"total_ms":…,"self_ms":…,
-  /// "max_ms":…}, …} in sorted stage order.
-  json::Value to_json() const;
-
-  /// Drops all recorded stages (tests and bench phase isolation).
-  void reset();
 
  private:
   mutable std::mutex mutex_;

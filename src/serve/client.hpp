@@ -5,7 +5,7 @@
 #include "serve/protocol.hpp"
 
 /// Client side of the matchmaker daemon protocol, used by the
-/// `hetsched_cli query` verb, the loopback tests, and `bench serve`.
+/// `hetsched_cli query` verb, the fuzz serve oracle, and the loopback tests.
 namespace hetsched::serve {
 
 /// One TCP connection to a serve daemon. Frames are sent/received with the

@@ -114,11 +114,6 @@ class Server {
   /// Decision audit log (bounded; newest entries win).
   std::vector<ServeAuditEntry> audit_log() const;
 
-  /// Copy of the request-latency histogram (exemplars included); the
-  /// serve_loopback bench derives its p50/p95/p99 from this, so the bench
-  /// and the daemon's /metrics agree by construction.
-  obs::Histogram latency_histogram() const;
-
   /// Total query frames answered, by response status (for tests).
   std::int64_t responses_sent(ResponseStatus status) const;
 

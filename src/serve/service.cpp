@@ -123,17 +123,6 @@ std::unique_ptr<apps::Application> make_named_app(
   return apps::make_paper_app(it->second, platform, config);
 }
 
-const std::vector<std::string>& served_app_names() {
-  static const std::vector<std::string> kNames = [] {
-    std::vector<std::string> names;
-    for (const auto& [name, app] : paper_app_ids()) names.push_back(name);
-    names.insert(names.end(), {"spectral-dag", "tree-reduction",
-                               "triangular-mv", "unstable-loop"});
-    return names;
-  }();
-  return kNames;
-}
-
 const std::vector<std::string>& served_ops() {
   static const std::vector<std::string> kOps = {"match", "explain",
                                                 "analyze"};

@@ -26,9 +26,6 @@ std::unique_ptr<apps::Application> make_named_app(
     const std::string& name, const hw::PlatformSpec& platform, bool small,
     bool record_trace = false, bool record_obs = false);
 
-/// Every name make_named_app accepts, in presentation order.
-const std::vector<std::string>& served_app_names();
-
 /// The query operations `answer` implements ("shutdown" is handled by the
 /// Server, not here).
 const std::vector<std::string>& served_ops();

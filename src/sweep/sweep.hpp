@@ -67,8 +67,8 @@ struct ScenarioMetrics {
   std::int64_t abandoned_tasks = 0;
   bool run_completed = true;
   /// Discrete events the simulator fired for this scenario (the measured
-  /// run only, not the baseline twin) — the bench harness's throughput
-  /// denominator.
+  /// run only, not the baseline twin) — what perfbench's `sim_events_per_s`
+  /// counts.
   std::int64_t sim_events = 0;
 };
 

@@ -60,7 +60,7 @@ TEST(EventHeap, InterleavedSchedulingKeepsCanonicalOrder) {
   Engine engine;
   std::vector<std::pair<SimTime, int>> fired;
   int label = 0;
-  std::function<void(SimTime, int)> spawn = [&](SimTime at, int depth) {
+  std::function<void(SimTime, int)> spawn = [&](SimTime /*at*/, int depth) {
     fired.emplace_back(engine.now(), label++);
     if (depth >= 3) return;
     engine.schedule_in(2, [&spawn, depth] { spawn(2, depth + 1); });

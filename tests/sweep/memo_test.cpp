@@ -4,10 +4,8 @@
 #include <thread>
 #include <vector>
 
-#include "common/json.hpp"
 #include "common/single_flight.hpp"
 #include "obs/metrics.hpp"
-#include "sweep/bench.hpp"
 #include "sweep/sweep.hpp"
 
 /// Tests for the in-run scenario memo: single-flight semantics, shared
@@ -206,44 +204,6 @@ TEST(SweepMemo, SummaryCountersMirrorIntoMetricsRegistry) {
             static_cast<std::int64_t>(run.summary.scenario_dedup_hits));
   EXPECT_EQ(registry.counter(obs::kSweepCacheHits), 0);
   EXPECT_EQ(registry.counter(obs::kSweepCacheMisses), 0);
-}
-
-TEST(SweepBench, BenchPhasesReportCoherentCounters) {
-  BenchOptions options;
-  options.small = true;
-  options.parallel = false;
-  options.fault_seeds = 3;
-  options.sim_core_reps = 2;
-  options.cache_dir =
-      (std::string(::testing::TempDir()) + "/hs_bench_test_cache");
-  const BenchResult result = run_bench(options);
-
-  EXPECT_EQ(result.sim_core.summary.computed, 2u);
-  EXPECT_GT(result.sim_core.sim_events, 0);
-
-  EXPECT_EQ(result.cold.summary.cache_hits, 0u);
-  EXPECT_GT(result.cold.summary.computed, 0u);
-  EXPECT_GT(result.cold.sim_events, 0);
-
-  EXPECT_EQ(result.warm.summary.computed, 0u);
-  EXPECT_EQ(result.warm.summary.cache_hits, result.cold.summary.computed);
-  // The warm phase serves the same simulated work from disk.
-  EXPECT_EQ(result.warm.sim_events, result.cold.sim_events);
-
-  EXPECT_EQ(result.twins.summary.twin_computes, 1u);
-  EXPECT_EQ(result.twins.summary.twin_memo_hits, 2u);
-
-  const json::Value document = json::Value::parse(bench_to_json(result));
-  ASSERT_EQ(document.at("phases").as_array().size(), 5u);
-  EXPECT_EQ(document.at("phases").as_array()[0].at("name").as_string(),
-            "sim_core");
-  EXPECT_EQ(document.at("phases").as_array()[1].at("name").as_string(),
-            "cold_cache");
-  // The N-device phase rides after the four pinned ones.
-  EXPECT_EQ(document.at("phases").as_array()[4].at("name").as_string(),
-            "sim_core_quad");
-  EXPECT_EQ(document.at("workload").at("sweep_code_version").as_string(),
-            kSweepCodeVersion);
 }
 
 }  // namespace

@@ -1,4 +1,3 @@
-#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <memory>
@@ -11,18 +10,15 @@
 #include "apps/registry.hpp"
 #include "check/engine.hpp"
 #include "check/gen.hpp"
-#include "common/json.hpp"
 #include "hw/platform.hpp"
 #include "strategies/strategy_runner.hpp"
-#include "sweep/bench.hpp"
 #include "sweep/sweep.hpp"
 
 /// Simcore determinism suite (ctest -L simcore): the event-core rewrite
 /// (indexed heap, arena allocation, struct-of-arrays executor state) is a
 /// pure performance change. These tests pin that claim against the fuzz
 /// corpus — the exact seeds the oracles run in CI — by asserting repeated
-/// runs yield byte-identical payloads and traces, and check the bench JSON
-/// contract: parseable, finite numbers only, byte-stable round trip.
+/// runs yield byte-identical payloads and traces.
 namespace hetsched::sweep {
 namespace {
 
@@ -100,11 +96,12 @@ TEST(SimcoreDeterminism, ParallelSweepMatchesSerialBitForBit) {
   EXPECT_EQ(run.summary.computed, reference.summary.computed);
 }
 
-TEST(SimcoreDeterminism, ArenaReuseAcrossRunsIsInvisible) {
-  // The executor resets its run arena at the start of every execution; a
-  // stale-state bug would show up as run-to-run drift. Repeated runs on one
-  // warmed runner (the sim_core bench pattern) must agree exactly.
-  const hw::PlatformSpec platform = hw::platform_by_name("reference");
+/// The executor resets its run arena at the start of every execution; a
+/// stale-state bug would show up as run-to-run drift. Repeated DP-Perf runs
+/// on one warmed runner must simulate events and agree exactly.
+void expect_arena_reuse_invisible(const std::string& platform_name) {
+  SCOPED_TRACE(platform_name);
+  const hw::PlatformSpec platform = hw::platform_by_name(platform_name);
   apps::Application::Config config =
       apps::test_config(apps::PaperApp::kMatrixMul);
   const std::unique_ptr<apps::Application> application =
@@ -113,6 +110,7 @@ TEST(SimcoreDeterminism, ArenaReuseAcrossRunsIsInvisible) {
 
   const strategies::StrategyResult first =
       runner.run(analyzer::StrategyKind::kDPPerf);
+  EXPECT_GT(first.report.sim_events, 0u);
   for (int rep = 0; rep < 3; ++rep) {
     const strategies::StrategyResult again =
         runner.run(analyzer::StrategyKind::kDPPerf);
@@ -122,53 +120,11 @@ TEST(SimcoreDeterminism, ArenaReuseAcrossRunsIsInvisible) {
   }
 }
 
-/// Recursively asserts every number in the document is finite. The writer
-/// (json::format_double) throws on NaN/inf, so a non-finite value can only
-/// appear through a bug upstream of serialization — this walks the parsed
-/// document to prove none slipped through as null-dodging garbage.
-void assert_numbers_finite(const json::Value& value, const std::string& path) {
-  if (value.is_number()) {
-    const double number = value.as_number();
-    EXPECT_TRUE(std::isfinite(number)) << path << " = " << number;
-  } else if (value.is_array()) {
-    int index = 0;
-    for (const json::Value& element : value.as_array())
-      assert_numbers_finite(element, path + "[" + std::to_string(index++) +
-                                         "]");
-  } else if (value.is_object()) {
-    for (const auto& [key, member] : value.as_object())
-      assert_numbers_finite(member, path + "." + key);
-  }
-}
-
-TEST(SimcoreBenchContract, JsonParsesWithFiniteNumbersAndStableBytes) {
-  BenchOptions options;
-  options.small = true;
-  options.parallel = false;
-  options.fault_seeds = 2;
-  options.sim_core_reps = 2;
-  options.cache_dir = ".hs-simcore-test-cache";
-  const BenchResult result = run_bench(options);
-  const std::string text = bench_to_json(result);
-
-  const json::Value document = json::Value::parse(text);
-  assert_numbers_finite(document, "$");
-
-  // parse -> dump is byte-stable: downstream tooling can normalize through
-  // the same document model without diffs.
-  EXPECT_EQ(json::Value::parse(document.dump()).dump(), document.dump());
-
-  // The phases the CLI and BENCH_sweep.json promise, in order.
-  const json::Value& phases = document.at("phases");
-  ASSERT_TRUE(phases.is_array());
-  ASSERT_GE(phases.as_array().size(), 4u);
-  EXPECT_EQ(phases.as_array()[0].at("name").as_string(), "sim_core");
-  EXPECT_EQ(phases.as_array()[1].at("name").as_string(), "cold_cache");
-  EXPECT_EQ(phases.as_array()[2].at("name").as_string(), "warm_cache");
-  EXPECT_EQ(phases.as_array()[3].at("name").as_string(),
-            "faulted_shared_twins");
-  // sim_core actually simulated something.
-  EXPECT_GT(phases.as_array()[0].at("sim_events").as_int64(), 0);
+TEST(SimcoreDeterminism, ArenaReuseAcrossRunsIsInvisible) {
+  // The two-device reference pair and the four-device quad platform
+  // (CPU + 2x GPU + Phi), which drives the event core's N-device paths.
+  for (const std::string platform : {"reference", "quad"})
+    expect_arena_reuse_invisible(platform);
 }
 
 }  // namespace

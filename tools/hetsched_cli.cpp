@@ -4,7 +4,7 @@
 ///   hetsched_cli catalog                   # the 86-app structure study
 ///   hetsched_cli match   --app <name>      # classify + select (Figure 2)
 ///   hetsched_cli run     --app <name> [--strategy <s>] [--platform <p>]
-///                        [--sync] [--tasks <m>] [--paper-size|--small]
+///                        [--sync] [--tasks <m>] [--small] [--json]
 ///   hetsched_cli compare --app <name> [--sync] [--platform <p>] [--csv]
 ///   hetsched_cli trace   --app <name> --out <file.json>
 ///                        [--strategy <s>]  # chrome://tracing timeline
@@ -30,11 +30,6 @@
 ///   hetsched_cli explain --app <name> [--json] [--sync] [--tasks <m>]
 ///                        [--platform <p>] [--small]
 ///                        # matchmaker decision + predicted-time inputs
-///   hetsched_cli bench   [--paper-size] [--serial] [--jobs N] [--seeds S]
-///                        [--quick] [--cache-dir <dir>] [--out <file>]
-///                        # sweep hot-path benchmark (sim_core / cold /
-///                        # warm / shared twins), writes BENCH_sweep.json
-///                        # by default; --quick is the smallest smoke run
 ///   hetsched_cli fuzz    [--seed N] [--iters K] [--corpus <file>]
 ///                        [--repro <file>] [--out <file>] [--no-shrink]
 ///                        [--plant <mutation>] [--oracles] [--serve]
@@ -67,8 +62,9 @@
 ///
 /// The usage string main() prints is generated from the same verb table
 /// that dispatches commands, so it cannot drift from what actually runs.
+/// Each verb also lists the flags it reads; any other flag is a usage error
+/// (exit 2) rather than silently ignored.
 #include <algorithm>
-#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <fstream>
@@ -91,12 +87,10 @@
 #include "obs/log.hpp"
 #include "obs/observability.hpp"
 #include "serve/client.hpp"
-#include "serve/serve_bench.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
 #include "strategies/autotune.hpp"
 #include "strategies/strategy_runner.hpp"
-#include "sweep/bench.hpp"
 #include "sweep/sweep.hpp"
 
 namespace {
@@ -628,97 +622,6 @@ int cmd_metrics(const Args& args) {
   return 0;
 }
 
-int cmd_bench(const Args& args) {
-  sweep::BenchOptions options;
-  // The benchmark defaults to the small functional configs so the `bench`
-  // ctest label stays a smoke run; --paper-size measures the real sizes.
-  options.small = !args.flag("paper-size");
-  options.parallel = !args.flag("serial");
-  if (args.flag("jobs"))
-    options.jobs = static_cast<unsigned>(std::stoul(args.get("jobs")));
-  if (args.flag("seeds")) options.fault_seeds = std::stoi(args.get("seeds"));
-  options.cache_dir = args.get("cache-dir", ".hs-bench-cache");
-  if (args.flag("quick")) {
-    // Smallest run that still produces the full JSON document — a contract
-    // smoke for CI (ctest label simcore), not a measurement.
-    options.small = true;
-    options.fault_seeds = 2;
-    options.sim_core_reps = 2;
-  }
-
-  const sweep::BenchResult result = sweep::run_bench(options);
-
-  const auto print_phase = [](const sweep::BenchPhase& phase) {
-    std::cout << "  " << phase.name << ": " << phase.summary.scenarios
-              << " scenario(s) in " << format_fixed(phase.wall_ms, 1)
-              << " ms — " << phase.summary.computed << " computed, "
-              << phase.summary.cache_hits << " cache hit(s), "
-              << phase.summary.twin_computes << " twin(s) computed, "
-              << phase.summary.twin_memo_hits << " twin memo hit(s); "
-              << phase.sim_events << " sim events (";
-    // Rate is unset when the phase ran faster than the clock tick.
-    if (phase.events_per_second)
-      std::cout << format_fixed(*phase.events_per_second / 1e6, 2) << " M/s";
-    else
-      std::cout << "n/a";
-    std::cout << ")\n";
-  };
-  std::cout << "sweep bench ("
-            << (options.small ? "small configs" : "paper sizes") << ", "
-            << (options.parallel ? "parallel" : "serial") << "):\n";
-  print_phase(result.sim_core);
-  print_phase(result.cold);
-  print_phase(result.warm);
-  print_phase(result.twins);
-  print_phase(result.sim_core_quad);
-
-  if (args.flag("quick")) {
-    // Smoke guard: the event core must still produce work and a sane rate
-    // on the 4-device quad platform, not just the reference CPU+GPU pair.
-    for (const sweep::BenchPhase* phase :
-         {&result.sim_core, &result.sim_core_quad}) {
-      HS_REQUIRE(phase->sim_events > 0,
-                 phase->name << " simulated no events");
-      HS_REQUIRE(!phase->events_per_second ||
-                     (std::isfinite(*phase->events_per_second) &&
-                      *phase->events_per_second > 0.0),
-                 phase->name << " produced a non-finite event rate");
-    }
-  }
-
-  // Fourth phase: loopback serve-daemon throughput (requests/s), folded
-  // into the same BENCH document. --no-serve skips it (e.g. a sandbox
-  // without loopback networking).
-  std::vector<json::Value> extra_phases;
-  if (!args.flag("no-serve")) {
-    serve::ServeBenchOptions serve_options;
-    if (args.flag("clients"))
-      serve_options.clients =
-          static_cast<unsigned>(std::stoul(args.get("clients")));
-    if (args.flag("requests"))
-      serve_options.requests_per_client = std::stoi(args.get("requests"));
-    const serve::ServeBenchResult served =
-        serve::run_serve_bench(serve_options);
-    std::cout << "  serve_loopback: " << served.requests << " request(s) ("
-              << serve_options.clients << " clients) in "
-              << format_fixed(served.wall_ms, 1) << " ms — "
-              << served.cache_hits << " cache hit(s), " << served.errors
-              << " error(s); "
-              << (served.requests_per_second
-                      ? format_fixed(*served.requests_per_second, 0)
-                      : std::string("n/a"))
-              << " req/s\n";
-    extra_phases.push_back(serve::serve_bench_to_json(served));
-  }
-
-  const std::string out = args.get("out", "BENCH_sweep.json");
-  std::ofstream file(out);
-  HS_REQUIRE(file.good(), "cannot open '" << out << "' for writing");
-  file << sweep::bench_to_json(result, extra_phases) << "\n";
-  std::cout << "wrote " << out << "\n";
-  return 0;
-}
-
 int cmd_fuzz(const Args& args) {
   if (args.flag("oracles")) {
     for (const std::string& name : check::oracle_names())
@@ -951,29 +854,56 @@ int cmd_query(const Args& args) {
 // the usage line cannot drift from what main() actually accepts.
 // ---------------------------------------------------------------------------
 
+using Flags = std::vector<std::string>;
+
+Flags operator+(Flags flags, const Flags& more) {
+  flags.insert(flags.end(), more.begin(), more.end());
+  return flags;
+}
+
+/// Flags the shared helpers read: a verb calling one accepts its flags.
+/// make_app + platform_by_name + options_from (the offline strategy verbs).
+const Flags kAppFlags = {"app", "small", "platform", "sync", "tasks"};
+/// request_from_args (match / explain / analyze and the query client).
+const Flags kRequestFlags = {"app",   "platform", "strategy", "sync",
+                             "small", "tasks",    "gantt",    "json"};
+/// Grid axes and SweepOptions knobs that sweep and faults both read.
+const Flags kSweepFlags = {"apps",      "strategies", "small", "tasks",
+                           "serial",    "jobs",       "no-cache",
+                           "cache-dir", "json",       "csv"};
+
 struct Verb {
   const char* name;
   int (*run)(const Args&);
+  Flags flags;  ///< every --flag the verb (or a helper it calls) reads
 };
 
 const std::vector<Verb>& verb_table() {
   static const std::vector<Verb> kVerbs = {
-      {"list", [](const Args&) { return cmd_list(); }},
-      {"catalog", cmd_catalog},
-      {"match", cmd_match},
-      {"run", cmd_run},
-      {"compare", cmd_compare},
-      {"trace", cmd_trace},
-      {"analyze", cmd_analyze},
-      {"tune", cmd_tune},
-      {"sweep", cmd_sweep},
-      {"faults", cmd_faults},
-      {"metrics", cmd_metrics},
-      {"explain", cmd_explain},
-      {"bench", cmd_bench},
-      {"fuzz", cmd_fuzz},
-      {"serve", cmd_serve},
-      {"query", cmd_query},
+      {"list", [](const Args&) { return cmd_list(); }, {}},
+      {"catalog", cmd_catalog, {"csv"}},
+      {"match", cmd_match, kRequestFlags},
+      {"run", cmd_run, kAppFlags + Flags{"strategy", "json"}},
+      {"compare", cmd_compare, kAppFlags + Flags{"csv"}},
+      {"trace", cmd_trace, kAppFlags + Flags{"strategy", "out"}},
+      {"analyze", cmd_analyze, kRequestFlags},
+      {"tune", cmd_tune, kAppFlags + Flags{"strategy", "csv"}},
+      {"sweep", cmd_sweep,
+       kSweepFlags + Flags{"platforms", "sync-mode"}},
+      {"faults", cmd_faults,
+       kSweepFlags + Flags{"plan", "seed", "app", "platform", "sync"}},
+      {"metrics", cmd_metrics,
+       kAppFlags + Flags{"format", "strategy", "plan", "seed", "out"}},
+      {"explain", cmd_explain, kRequestFlags},
+      {"fuzz", cmd_fuzz,
+       {"oracles", "repro", "seed", "iters", "no-shrink", "plant", "explore",
+        "schedules", "serve", "corpus", "out"}},
+      {"serve", cmd_serve,
+       {"port", "host", "workers", "max-queue", "cache-dir", "trace-capacity",
+        "log-format", "log-level", "announce-port", "metrics-out"}},
+      {"query", cmd_query,
+       kRequestFlags + Flags{"host", "port", "port-stdin", "op",
+                             "then-shutdown", "trace"}},
   };
   return kVerbs;
 }
@@ -991,8 +921,19 @@ std::string usage_string() {
 int main(int argc, char** argv) {
   const Args args = parse(argc, argv);
   try {
-    for (const Verb& verb : verb_table())
-      if (args.command == verb.name) return verb.run(args);
+    for (const Verb& verb : verb_table()) {
+      if (args.command != verb.name) continue;
+      for (const auto& [name, value] : args.options) {
+        if (std::find(verb.flags.begin(), verb.flags.end(), name) ==
+            verb.flags.end()) {
+          std::cerr << "error: unknown flag --" << name << " for "
+                    << verb.name << "\n"
+                    << usage_string();
+          return 2;
+        }
+      }
+      return verb.run(args);
+    }
     std::cerr << usage_string();
     return args.command.empty() ? 0 : 2;
   } catch (const hetsched::Error& error) {

@@ -160,12 +160,12 @@ TEST(ObserveTimeWeightedTest, WeightsValuesByDwellTime) {
   // Depth 1 for [0, 1ms), depth 3 for [1ms, 2ms).
   std::vector<CounterTrack::Sample> series = {{0, 1.0}, {1'000'000, 3.0}};
   observe_time_weighted(registry, "depth_ms", series, 2'000'000);
-  const Histogram* hist = registry.find_histogram("depth_ms");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_DOUBLE_EQ(hist->weights()[0], 1.0);  // value 1, 1 ms
-  EXPECT_DOUBLE_EQ(hist->weights()[1], 1.0);  // value 3, 1 ms
-  EXPECT_DOUBLE_EQ(hist->total_weight(), 2.0);
-  EXPECT_DOUBLE_EQ(hist->sum(), 1.0 * 1.0 + 3.0 * 1.0);
+  ASSERT_EQ(registry.histograms().count("depth_ms"), 1u);
+  const Histogram& hist = registry.histograms().at("depth_ms");
+  EXPECT_DOUBLE_EQ(hist.weights()[0], 1.0);  // value 1, 1 ms
+  EXPECT_DOUBLE_EQ(hist.weights()[1], 1.0);  // value 3, 1 ms
+  EXPECT_DOUBLE_EQ(hist.total_weight(), 2.0);
+  EXPECT_DOUBLE_EQ(hist.sum(), 1.0 * 1.0 + 3.0 * 1.0);
 }
 
 TEST(ObserveTimeWeightedTest, HorizonClampsTheLastSegment) {
@@ -175,10 +175,10 @@ TEST(ObserveTimeWeightedTest, HorizonClampsTheLastSegment) {
   // Horizon before the second sample: only the first segment contributes,
   // clamped to [0, 3ms); the second starts past the horizon and is dropped.
   observe_time_weighted(registry, "h", series, 3'000'000);
-  const Histogram* hist = registry.find_histogram("h");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_DOUBLE_EQ(hist->total_weight(), 3.0);
-  EXPECT_DOUBLE_EQ(hist->sum(), 2.0 * 3.0);
+  ASSERT_EQ(registry.histograms().count("h"), 1u);
+  const Histogram& hist = registry.histograms().at("h");
+  EXPECT_DOUBLE_EQ(hist.total_weight(), 3.0);
+  EXPECT_DOUBLE_EQ(hist.sum(), 2.0 * 3.0);
 }
 
 }  // namespace

@@ -162,7 +162,9 @@ void BM_ExecutorFullRun(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           chunks);
 }
-BENCHMARK(BM_ExecutorFullRun)->Arg(12)->Arg(96);
+// The larger chunk counts are where a pool scan linear in the ready tasks
+// would show: per-task cost should stay flat from 96 to 6144 chunks.
+BENCHMARK(BM_ExecutorFullRun)->Arg(12)->Arg(96)->Arg(1536)->Arg(6144);
 
 void BM_ThreadPoolDispatch(benchmark::State& state) {
   rt::ThreadPool pool;

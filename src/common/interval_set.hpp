@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/error.hpp"
@@ -40,10 +39,33 @@ constexpr Interval intersect(const Interval& a, const Interval& b) {
   return Interval{std::max(a.begin, b.begin), std::min(a.end, b.end)};
 }
 
+namespace detail {
+
+/// Replaces elements [first, last) of the sorted span vector `spans` with
+/// `pieces[0, n)`, moving only the tail past the slice.
+template <typename Span>
+void splice_spans(std::vector<Span>& spans, std::size_t first,
+                  std::size_t last, Span* pieces, std::size_t n) {
+  const auto at = spans.begin() + static_cast<std::ptrdiff_t>(first);
+  const std::size_t old = last - first;
+  if (n > old)
+    spans.insert(at + static_cast<std::ptrdiff_t>(old), n - old, pieces[0]);
+  else if (n < old)
+    spans.erase(at + static_cast<std::ptrdiff_t>(n),
+                at + static_cast<std::ptrdiff_t>(old));
+  std::move(pieces, pieces + n,
+            spans.begin() + static_cast<std::ptrdiff_t>(first));
+}
+
+}  // namespace detail
+
 /// An ordered set of disjoint, non-adjacent half-open intervals.
 ///
 /// Maintains the canonical form invariant: intervals are sorted, non-empty,
-/// and separated by gaps (adjacent/overlapping inserts coalesce).
+/// and separated by gaps (adjacent/overlapping inserts coalesce). The spans
+/// live in one sorted vector: a lookup is a binary search (none when the
+/// interval goes past the tail), and an update replaces the covered slice
+/// in place.
 class IntervalSet {
  public:
   IntervalSet() = default;
@@ -59,75 +81,64 @@ class IntervalSet {
   /// Adds an interval, coalescing with any overlapping/adjacent spans.
   void insert(Interval iv) {
     if (iv.empty()) return;
-    // Find the first span that could merge: the first with end >= iv.begin.
-    auto it = spans_.lower_bound(iv.begin);
-    if (it != spans_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second >= iv.begin) it = prev;
+    if (spans_.empty() || spans_.back().end < iv.begin) {
+      spans_.push_back(iv);
+      measure_ += iv.length();
+      return;
     }
-    while (it != spans_.end() && it->first <= iv.end) {
-      iv.begin = std::min(iv.begin, it->first);
-      iv.end = std::max(iv.end, it->second);
-      measure_ -= it->second - it->first;
-      it = spans_.erase(it);
+    // The spans that merge: from the first ending at or past iv.begin to
+    // the last starting at or before iv.end.
+    const std::size_t first = static_cast<std::size_t>(
+        std::partition_point(
+            spans_.begin(), spans_.end(),
+            [&iv](const Interval& span) { return span.end < iv.begin; }) -
+        spans_.begin());
+    std::size_t last = first;
+    for (; last < spans_.size() && spans_[last].begin <= iv.end; ++last) {
+      iv.begin = std::min(iv.begin, spans_[last].begin);
+      iv.end = std::max(iv.end, spans_[last].end);
+      measure_ -= spans_[last].length();
     }
-    spans_.emplace_hint(it, iv.begin, iv.end);
+    detail::splice_spans(spans_, first, last, &iv, 1);
     measure_ += iv.length();
   }
 
   void insert(const IntervalSet& other) {
-    for (const auto& [b, e] : other.spans_) insert({b, e});
+    for (const Interval& iv : other.spans_) insert(iv);
   }
 
   /// Removes all points of `iv` from the set. Only the (at most two) spans
-  /// straddling an end of `iv` survive, trimmed in place.
+  /// straddling an end of `iv` survive, trimmed.
   void erase(Interval iv) {
     if (iv.empty() || spans_.empty()) return;
-    auto it = spans_.lower_bound(iv.begin);
-    if (it != spans_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second > iv.begin) {
-        const std::int64_t end = prev->second;
-        prev->second = iv.begin;
-        measure_ -= end - iv.begin;
-        if (end > iv.end) {  // `iv` lies strictly inside: split the span
-          spans_.emplace_hint(it, iv.end, end);
-          measure_ += end - iv.end;
-          return;
-        }
-      }
-    }
-    while (it != spans_.end() && it->first < iv.end) {
-      if (it->second > iv.end) {
-        // Straddles the end: re-key its node at iv.end (no allocation).
-        auto node = spans_.extract(it++);
-        measure_ -= iv.end - node.key();
-        node.key() = iv.end;
-        spans_.insert(it, std::move(node));
-        return;
-      }
-      measure_ -= it->second - it->first;
-      it = spans_.erase(it);
-    }
+    const std::size_t first = first_ending_after(iv.begin);
+    std::size_t last = first;
+    for (; last < spans_.size() && spans_[last].begin < iv.end; ++last)
+      measure_ -= spans_[last].length();
+    if (first == last) return;
+    Interval pieces[2];
+    std::size_t n = 0;
+    if (spans_[first].begin < iv.begin)
+      pieces[n++] = {spans_[first].begin, iv.begin};
+    if (spans_[last - 1].end > iv.end)
+      pieces[n++] = {iv.end, spans_[last - 1].end};
+    for (std::size_t i = 0; i < n; ++i) measure_ += pieces[i].length();
+    detail::splice_spans(spans_, first, last, pieces, n);
   }
 
   /// True iff every point of `iv` is covered.
   bool covers(Interval iv) const {
     if (iv.empty()) return true;
-    auto it = spans_.upper_bound(iv.begin);
-    if (it == spans_.begin()) return false;
-    --it;
-    return it->first <= iv.begin && it->second >= iv.end;
+    const std::size_t i = first_ending_after(iv.begin);
+    return i < spans_.size() && spans_[i].begin <= iv.begin &&
+           spans_[i].end >= iv.end;
   }
 
   /// True iff any point of `iv` is covered.
   bool intersects(Interval iv) const {
-    if (iv.empty() || spans_.empty()) return false;
-    auto it = spans_.lower_bound(iv.begin);
-    if (it != spans_.end() && it->first < iv.end) return true;
-    if (it == spans_.begin()) return false;
-    --it;
-    return it->second > iv.begin;
+    if (iv.empty()) return false;
+    const std::size_t i = first_ending_after(iv.begin);
+    return i < spans_.size() && spans_[i].begin < iv.end;
   }
 
   /// The parts of `iv` NOT covered by this set (in order).
@@ -135,14 +146,10 @@ class IntervalSet {
     std::vector<Interval> result;
     if (iv.empty()) return result;
     std::int64_t cursor = iv.begin;
-    auto it = spans_.upper_bound(iv.begin);
-    if (it != spans_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second > iv.begin) cursor = std::min(prev->second, iv.end);
-    }
-    for (; it != spans_.end() && it->first < iv.end; ++it) {
-      if (it->first > cursor) result.push_back({cursor, it->first});
-      cursor = std::min(it->second, iv.end);
+    for (std::size_t i = first_ending_after(iv.begin);
+         i < spans_.size() && spans_[i].begin < iv.end; ++i) {
+      if (spans_[i].begin > cursor) result.push_back({cursor, spans_[i].begin});
+      cursor = std::min(spans_[i].end, iv.end);
     }
     if (cursor < iv.end) result.push_back({cursor, iv.end});
     return result;
@@ -152,29 +159,30 @@ class IntervalSet {
   std::vector<Interval> pieces_within(Interval iv) const {
     std::vector<Interval> result;
     if (iv.empty()) return result;
-    auto it = spans_.upper_bound(iv.begin);
-    if (it != spans_.begin()) --it;
-    for (; it != spans_.end() && it->first < iv.end; ++it) {
-      const Interval piece = intersect({it->first, it->second}, iv);
-      if (!piece.empty()) result.push_back(piece);
-    }
+    for (std::size_t i = first_ending_after(iv.begin);
+         i < spans_.size() && spans_[i].begin < iv.end; ++i)
+      result.push_back(intersect(spans_[i], iv));
     return result;
   }
 
-  std::vector<Interval> to_vector() const {
-    std::vector<Interval> result;
-    result.reserve(spans_.size());
-    for (const auto& [b, e] : spans_) result.push_back({b, e});
-    return result;
-  }
+  std::vector<Interval> to_vector() const { return spans_; }
 
   friend bool operator==(const IntervalSet& a, const IntervalSet& b) {
     return a.spans_ == b.spans_;
   }
 
  private:
-  // begin -> end, canonical form.
-  std::map<std::int64_t, std::int64_t> spans_;
+  /// Index of the first span ending past `point`.
+  std::size_t first_ending_after(std::int64_t point) const {
+    return static_cast<std::size_t>(
+        std::partition_point(
+            spans_.begin(), spans_.end(),
+            [point](const Interval& span) { return span.end <= point; }) -
+        spans_.begin());
+  }
+
+  // Canonical form, sorted by begin.
+  std::vector<Interval> spans_;
   std::int64_t measure_ = 0;  // sum of span lengths
 };
 

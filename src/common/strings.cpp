@@ -1,9 +1,11 @@
 #include "common/strings.hpp"
 
 #include <array>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
+#include "common/error.hpp"
 #include "common/time.hpp"
 
 namespace hetsched {
@@ -61,6 +63,21 @@ std::string format_time(SimTime t) {
     std::snprintf(buf, sizeof(buf), "%.2f s", ns / 1e9);
   }
   return buf;
+}
+
+std::uint64_t parse_bounded_uint(const std::string& text, std::uint64_t max,
+                                 const std::string& what) {
+  std::uint64_t value = 0;
+  const char* const end = text.data() + text.size();
+  // from_chars takes no sign or whitespace, so "-1" and " 1" fail here.
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (text.empty() || error == std::errc::invalid_argument || stop != end)
+    throw InvalidArgument(what + " expects a non-negative integer, got '" +
+                          text + "'");
+  if (error == std::errc::result_out_of_range || value > max)
+    throw InvalidArgument(what + " must be at most " + std::to_string(max) +
+                          ", got " + text);
+  return value;
 }
 
 }  // namespace hetsched

@@ -34,6 +34,10 @@ inline constexpr std::string_view kPhaseCache = "cache";
 inline constexpr std::string_view kPhaseCompute = "compute";
 inline constexpr std::string_view kPhasePartitionSolve = "partition-solve";
 inline constexpr std::string_view kPhaseSimEventLoop = "sim-event-loop";
+/// Nested inside kPhaseSimEventLoop: building a run (task graph included),
+/// then draining its event queue.
+inline constexpr std::string_view kPhaseExecSetup = "exec-setup";
+inline constexpr std::string_view kPhaseEventLoop = "event-loop";
 inline constexpr std::string_view kPhaseSweepScenario = "sweep-scenario";
 inline constexpr std::string_view kPhaseSerialize = "serialize";
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <set>
 #include <string_view>
 
@@ -79,6 +80,7 @@ class Run {
     }
     lane_begin_[devices_.size()] = static_cast<std::uint32_t>(lanes_.size());
     ready_.resize(devices_.size());
+    pool_.reset(devices_.size());
     remaining_deps_ = arena_.make_array<std::size_t>(graph_.size());
     for (TaskId id = 0; id < graph_.size(); ++id)
       remaining_deps_[id] = graph_.node(id).predecessor_count;
@@ -186,7 +188,10 @@ class Run {
     }
     report_.overhead_time +=
         static_cast<SimTime>(graph_.size()) * costs_.task_creation;
-    engine_.run();
+    {
+      const obs::ScopedPhase phase(obs::kPhaseEventLoop);
+      engine_.run();
+    }
 
     std::size_t unfinished = 0;
     for (std::size_t id = 0; id < graph_.size(); ++id) {
@@ -334,7 +339,7 @@ class Run {
         obs_track(queue_key_d(*chosen), now, 1);
       }
     } else {
-      pool_.push_back(st);
+      pool_.push(st);
       obs_track("pool_depth", now, 1);
     }
     pump(now);
@@ -373,7 +378,7 @@ class Run {
         const hw::DeviceId d =
             (i + 1 < devices_.size()) ? (i + 1) : hw::kCpuDevice;
         if (failed_[d]) continue;
-        std::vector<TaskId>& queue = ready_[d];
+        std::deque<TaskId>& queue = ready_[d];
         const std::size_t lane_count = lane_begin_[d + 1] - lane_begin_[d];
         for (std::size_t lane = 0; lane < lane_count; ++lane) {
           if (lanes_[lane_begin_[d] + lane].available_at() > now) continue;
@@ -391,14 +396,12 @@ class Run {
             obs_track(queue_key_d(d), now, -1);
             via_scheduler = !graph_.node(*task).pinned_device.has_value();
           } else if (!pool_.empty()) {
-            if (auto index = scheduler_.pick(d, pool_, now)) {
-              HS_REQUIRE(*index < pool_.size(),
-                         "scheduler picked out-of-range pool index");
-              HS_REQUIRE(pool_[*index].runs_on(d),
+            if (auto handle = scheduler_.pick(d, pool_, now)) {
+              HS_REQUIRE(pool_.holds(*handle),
+                         "scheduler picked an empty pool entry");
+              HS_REQUIRE(pool_.peek(*handle).runs_on(d),
                          "scheduler picked a task the device cannot run");
-              task = pool_[*index].id;
-              pool_.erase(pool_.begin() +
-                          static_cast<std::ptrdiff_t>(*index));
+              task = pool_.take(*handle).id;
               obs_track("pool_depth", now, -1);
               via_scheduler = true;
               from_pool = true;
@@ -713,8 +716,8 @@ class Run {
       busy_until = std::max(busy_until, lanes_[f].available_at());
     scheduler_.on_divergence(d, busy_until, now);
 
-    std::vector<TaskId>& queue = ready_[d];
-    std::vector<TaskId> keep;
+    std::deque<TaskId>& queue = ready_[d];
+    std::deque<TaskId> keep;
     std::vector<TaskId> drained;
     for (TaskId q : queue) {
       if (graph_.node(q).pinned_device) keep.push_back(q);
@@ -754,7 +757,7 @@ class Run {
     std::size_t best_depth = 0;
     for (hw::DeviceId d = 0; d < devices_.size(); ++d) {
       if (d == *target || failed_[d]) continue;
-      const std::vector<TaskId>& queue = ready_[d];
+      const std::deque<TaskId>& queue = ready_[d];
       bool movable = false;
       for (TaskId q : queue) {
         if (!graph_.node(q).pinned_device && sched_info_[q].runs_on(*target)) {
@@ -769,7 +772,7 @@ class Run {
     }
     std::optional<TaskId> chosen;
     if (source) {
-      std::vector<TaskId>& queue = ready_[*source];
+      std::deque<TaskId>& queue = ready_[*source];
       for (auto it = queue.rbegin(); it != queue.rend(); ++it) {
         if (!graph_.node(*it).pinned_device &&
             sched_info_[*it].runs_on(*target)) {
@@ -779,14 +782,10 @@ class Run {
           break;
         }
       }
-    } else {
-      for (std::size_t i = 0; i < pool_.size(); ++i) {
-        if (!pool_[i].runs_on(*target)) continue;
-        chosen = pool_[i].id;
-        pool_.erase(pool_.begin() + static_cast<std::ptrdiff_t>(i));
-        obs_track("pool_depth", now, -1);
-        break;
-      }
+    } else if (auto handle =
+                   pool_.oldest(*target, ReadyPool::Affinity::kAny)) {
+      chosen = pool_.take(*handle).id;
+      obs_track("pool_depth", now, -1);
     }
     if (!chosen) return;
 
@@ -821,8 +820,8 @@ class Run {
     std::vector<TaskId> drained;
     for (hw::DeviceId d = 0; d < devices_.size(); ++d) {
       if (d == probed || failed_[d]) continue;
-      std::vector<TaskId>& queue = ready_[d];
-      std::vector<TaskId> keep;
+      std::deque<TaskId>& queue = ready_[d];
+      std::deque<TaskId> keep;
       std::size_t pulled = 0;
       for (TaskId q : queue) {
         if (graph_.node(q).pinned_device) {
@@ -880,7 +879,7 @@ class Run {
       displaced.push_back(slot.id);
       running_valid_[f] = 0;
     }
-    std::vector<TaskId>& queue = ready_[d];
+    std::deque<TaskId>& queue = ready_[d];
     displaced.insert(displaced.end(), queue.begin(), queue.end());
     if (!queue.empty())
       obs_track(queue_key_d(d), now, -static_cast<double>(queue.size()));
@@ -896,15 +895,14 @@ class Run {
       last_touch_[sb_index(space_of(d), b)] = 0;
     }
 
-    // Pool tasks bound to the dead chain become free agents; pool tasks no
-    // surviving device can run are abandoned.
-    for (SchedTask& t : pool_) {
-      if (t.locality == d) t.locality.reset();
-    }
-    for (std::size_t i = pool_.size(); i-- > 0;) {
-      if (runnable_somewhere(pool_[i])) continue;
-      abandon(pool_[i].id, now, "no surviving device runs it");
-      pool_.erase(pool_.begin() + static_cast<std::ptrdiff_t>(i));
+    // Pool tasks bound to the dead chain become free agents (in ready
+    // order); pool tasks no surviving device can run are abandoned, newest
+    // first.
+    pool_.unbind(d);
+    for (const SchedTask& t : pool_.take_if([this](const SchedTask& task) {
+           return !runnable_somewhere(task);
+         })) {
+      abandon(t.id, now, "no surviving device runs it");
       obs_track("pool_depth", now, -1);
     }
 
@@ -1105,7 +1103,7 @@ class Run {
   /// chasing per-device structs of containers.
   std::vector<sim::Resource> lanes_;
   std::uint32_t* lane_begin_ = nullptr;  // arena, devices+1 entries
-  std::vector<std::vector<TaskId>> ready_;
+  std::vector<std::deque<TaskId>> ready_;
   std::uint8_t* failed_ = nullptr;  // arena, per device
 
   TaskGraph graph_;
@@ -1113,7 +1111,7 @@ class Run {
   SchedTask* sched_info_ = nullptr;                     // arena, per task
   std::optional<hw::DeviceId>* affinity_ = nullptr;     // arena, per task
   std::uint8_t* completed_ = nullptr;                   // arena, per task
-  std::vector<SchedTask> pool_;
+  ReadyPool pool_;
   /// Reused output buffer for coherence_.plan_acquire on the hot paths.
   std::vector<mem::TransferOp> acquire_scratch_;
 
@@ -1162,13 +1160,19 @@ class Run {
 ExecutionReport Executor::execute(const Program& program,
                                   Scheduler& scheduler) {
   const obs::ScopedPhase phase(obs::kPhaseSimEventLoop);
-  std::vector<std::pair<std::string, std::int64_t>> buffer_specs;
-  buffer_specs.reserve(buffers_.size());
-  for (const BufferInfo& info : buffers_)
-    buffer_specs.emplace_back(info.name, info.size_bytes);
-  Run run(platform_, costs_, options_, cost_model_, kernels_, buffer_specs,
-          program, scheduler, fault_plan_, explore_, run_arena_);
-  return run.execute();
+  std::optional<Run> run;
+  {
+    // Run construction builds the task graph and sizes the run state.
+    const obs::ScopedPhase setup(obs::kPhaseExecSetup);
+    std::vector<std::pair<std::string, std::int64_t>> buffer_specs;
+    buffer_specs.reserve(buffers_.size());
+    for (const BufferInfo& info : buffers_)
+      buffer_specs.emplace_back(info.name, info.size_bytes);
+    run.emplace(platform_, costs_, options_, cost_model_, kernels_,
+                buffer_specs, program, scheduler, fault_plan_, explore_,
+                run_arena_);
+  }
+  return run->execute();
 }
 
 ExecutionReport Executor::execute_pinned(const Program& program) {

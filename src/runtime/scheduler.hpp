@@ -7,6 +7,7 @@
 #include "common/time.hpp"
 #include "hw/platform.hpp"
 #include "runtime/kernel.hpp"
+#include "runtime/ready_pool.hpp"
 #include "runtime/task_graph.hpp"
 
 /// Scheduler interface for dynamic partitioning.
@@ -28,22 +29,6 @@ struct RunObservability;
 }  // namespace hetsched::obs
 
 namespace hetsched::rt {
-
-/// Scheduler-visible view of one ready task instance.
-struct SchedTask {
-  TaskId id = 0;
-  KernelId kernel = 0;
-  std::int64_t items = 0;
-  bool cpu_ok = true;
-  bool gpu_ok = true;
-  /// Device (if any) already holding a valid copy of most input bytes — the
-  /// data-locality hint behind the paper's dependency-chain affinity.
-  std::optional<hw::DeviceId> locality;
-
-  bool runs_on(hw::DeviceId device) const {
-    return device == hw::kCpuDevice ? cpu_ok : gpu_ok;
-  }
-};
 
 class Scheduler {
  public:
@@ -70,17 +55,14 @@ class Scheduler {
     return std::nullopt;
   }
 
-  /// Pull-style placement: a lane of `device` is idle; return the index into
-  /// `pool` of the task it should run, or nullopt to leave the lane idle.
-  /// `pool` is in ready order (FIFO).
-  virtual std::optional<std::size_t> pick(hw::DeviceId device,
-                                          const std::vector<SchedTask>& pool,
-                                          SimTime now) {
-    (void)device;
+  /// Pull-style placement: a lane of `device` is idle; return the pool
+  /// entry it should run (from `pool.oldest`), or nullopt to leave the lane
+  /// idle. The default takes the oldest task the device runs.
+  virtual std::optional<ReadyPool::Handle> pick(hw::DeviceId device,
+                                                const ReadyPool& pool,
+                                                SimTime now) {
     (void)now;
-    for (std::size_t i = 0; i < pool.size(); ++i)
-      if (pool[i].runs_on(device)) return i;
-    return std::nullopt;
+    return pool.oldest(device, ReadyPool::Affinity::kAny);
   }
 
   /// A taskwait flushed `duration` worth of link time for data this task

@@ -26,22 +26,19 @@ class BreadthFirstScheduler final : public Scheduler {
   std::string name() const override { return "breadth-first"; }
   SimTime decision_cost() const override { return decision_cost_; }
 
-  std::optional<std::size_t> pick(hw::DeviceId device,
-                                  const std::vector<SchedTask>& pool,
-                                  SimTime now) override {
+  std::optional<ReadyPool::Handle> pick(hw::DeviceId device,
+                                        const ReadyPool& pool,
+                                        SimTime now) override {
     (void)now;
-    std::optional<std::size_t> no_affinity;
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      if (!pool[i].runs_on(device)) continue;
-      if (pool[i].locality == device) return i;  // chain stays local
-      if (!pool[i].locality && !no_affinity) no_affinity = i;
-    }
-    // Fresh (affinity-free) tasks are fair game for any device. Tasks bound
+    // The oldest task of the device's own chain, else the oldest fresh
+    // (affinity-free) task: those are fair game for any device. Tasks bound
     // to another device's chain are NOT stolen: the scheduler's one goal is
     // minimizing transfers by keeping each dependency chain where its data
     // lives (paper Section III-C), even at the price of idling — it has no
     // performance information to judge whether a steal would pay off.
-    return no_affinity;
+    if (auto local = pool.oldest(device, ReadyPool::Affinity::kLocal))
+      return local;
+    return pool.oldest(device, ReadyPool::Affinity::kFree);
   }
 
  private:

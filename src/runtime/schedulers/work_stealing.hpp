@@ -26,22 +26,15 @@ class WorkStealingScheduler final : public Scheduler {
   std::string name() const override { return "work-stealing"; }
   SimTime decision_cost() const override { return decision_cost_; }
 
-  std::optional<std::size_t> pick(hw::DeviceId device,
-                                  const std::vector<SchedTask>& pool,
-                                  SimTime now) override {
+  std::optional<ReadyPool::Handle> pick(hw::DeviceId device,
+                                        const ReadyPool& pool,
+                                        SimTime now) override {
     (void)now;
-    std::optional<std::size_t> no_affinity;
-    std::optional<std::size_t> foreign;
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      if (!pool[i].runs_on(device)) continue;
-      if (pool[i].locality == device) return i;
-      if (!pool[i].locality) {
-        if (!no_affinity) no_affinity = i;
-      } else if (!foreign) {
-        foreign = i;
-      }
-    }
-    if (no_affinity) return no_affinity;
+    if (auto local = pool.oldest(device, ReadyPool::Affinity::kLocal))
+      return local;
+    if (auto fresh = pool.oldest(device, ReadyPool::Affinity::kFree))
+      return fresh;
+    auto foreign = pool.oldest(device, ReadyPool::Affinity::kForeign);
     if (foreign) ++steals_;
     return foreign;
   }

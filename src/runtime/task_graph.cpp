@@ -158,9 +158,20 @@ constexpr std::size_t kRetainedAccesses = std::size_t{1} << 14;
 /// to its buffer's next-toucher map; the marks arrive in decreasing task
 /// order, so a range's first later toucher is the smallest value the map
 /// holds over it.
+///
+/// The maps are keyed on negated coordinates: a byte range [begin, end) is
+/// stored as [-end, -begin). Chunked kernels touch ascending ranges in
+/// ascending task order, so the reverse sweep meets them in descending
+/// order; negated, each mark lands past the map's tail and is an append
+/// rather than an insert at the front of the flat span vector. Negation
+/// maps overlapping ranges to overlapping ranges, so the answer is the
+/// same.
 void analyze_writeback(std::vector<TaskNode>& nodes,
                        std::vector<RangeMap<TaskId>>& next_toucher) {
   constexpr TaskId kNone = SIZE_MAX;
+  const auto mirrored = [](Interval range) {
+    return Interval{-range.end, -range.begin};
+  };
   for (RangeMap<TaskId>& map : next_toucher) map.clear();
   for (TaskId id = nodes.size(); id-- > 0;) {
     TaskNode& node = nodes[id];
@@ -172,7 +183,7 @@ void analyze_writeback(std::vector<TaskNode>& nodes,
       if (!accesses[a].writes() || region.empty()) continue;
       TaskId next = kNone;
       next_toucher[region.buffer].for_each_overlapping(
-          region.range,
+          mirrored(region.range),
           [&next](Interval, TaskId toucher) { next = std::min(next, toucher); });
       // Host op next, or nothing at all: eager write-back overlapping the
       // other devices' remaining compute. Kernel next: the data stays
@@ -181,7 +192,8 @@ void analyze_writeback(std::vector<TaskNode>& nodes,
     }
     for (const mem::RegionAccess& access : accesses)
       if (!access.region.empty())
-        next_toucher[access.region.buffer].assign(access.region.range, id);
+        next_toucher[access.region.buffer].assign(
+            mirrored(access.region.range), id);
   }
 }
 

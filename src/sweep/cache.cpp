@@ -164,14 +164,4 @@ bool ResultCache::store(const std::string& key,
   return true;
 }
 
-std::size_t ResultCache::clear() const {
-  std::size_t removed = 0;
-  std::error_code ec;
-  for (const fs::directory_entry& entry :
-       fs::directory_iterator(directory_, ec)) {
-    if (entry.is_regular_file() && fs::remove(entry.path())) ++removed;
-  }
-  return removed;
-}
-
 }  // namespace hetsched::sweep

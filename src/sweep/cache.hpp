@@ -50,9 +50,6 @@ class ResultCache {
   /// downstream). Counted as an eviction when a file was actually removed.
   void evict(const std::string& key) const;
 
-  /// Removes every entry. Returns the number of entries removed.
-  std::size_t clear() const;
-
   /// The file an entry for `key` lives in (exposed for tests).
   std::string path_for(const std::string& key) const;
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
+
 namespace hetsched {
 namespace {
 
@@ -33,6 +35,36 @@ TEST(Join, Basic) {
   EXPECT_EQ(join({}, ", "), "");
   EXPECT_EQ(join({"a"}, ", "), "a");
   EXPECT_EQ(join({"a", "b", "c"}, "/"), "a/b/c");
+}
+
+TEST(ParseBoundedUint, AcceptsWholeNumbersUpToTheCeiling) {
+  EXPECT_EQ(parse_bounded_uint("0", 256, "--jobs"), 0u);
+  EXPECT_EQ(parse_bounded_uint("256", 256, "--jobs"), 256u);
+  EXPECT_EQ(parse_bounded_uint("18446744073709551615", UINT64_MAX, "--seed"),
+            UINT64_MAX);
+}
+
+TEST(ParseBoundedUint, RejectsMalformedNegativeAndOversizedValues) {
+  // Past the ceiling: a thread count is refused before any pool is sized.
+  EXPECT_THROW(parse_bounded_uint("257", 256, "--jobs"), InvalidArgument);
+  EXPECT_THROW(parse_bounded_uint("4294967295", 256, "--workers"),
+               InvalidArgument);
+  EXPECT_THROW(parse_bounded_uint("18446744073709551616", UINT64_MAX, "--seed"),
+               InvalidArgument);
+  // Never wrapped: -1 is not 2^32 - 1.
+  EXPECT_THROW(parse_bounded_uint("-1", 256, "--jobs"), InvalidArgument);
+  for (const char* text : {"", "abc", "12x", " 3", "+3", "3 ", "1e3"})
+    EXPECT_THROW(parse_bounded_uint(text, 256, "--tasks"), InvalidArgument)
+        << "'" << text << "'";
+}
+
+TEST(ParseBoundedUint, ErrorNamesTheFlag) {
+  try {
+    parse_bounded_uint("abc", 6144, "--tasks");
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& error) {
+    EXPECT_NE(std::string(error.what()).find("--tasks"), std::string::npos);
+  }
 }
 
 }  // namespace

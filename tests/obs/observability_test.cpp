@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -158,8 +159,8 @@ TEST(ObservabilityEma, EstimateDipsAndRecoversUnderGpuSlowdown) {
 
 TEST(SweepCacheCounters, LoadStoreEvictAccounting) {
   const std::string dir = ::testing::TempDir() + "/hs_obs_cache_counters";
+  std::filesystem::remove_all(dir);
   const sweep::ResultCache cache(dir);
-  cache.clear();
   EXPECT_FALSE(cache.load("key"));  // no entry: miss
   cache.store("key", "payload");
   const auto loaded = cache.load("key");
@@ -189,7 +190,7 @@ TEST(SweepCacheCounters, LoadStoreEvictAccounting) {
 
 TEST(SweepCacheCounters, SweepSummarySurfacesHitsMissesEvictions) {
   const std::string dir = ::testing::TempDir() + "/hs_obs_cache_summary";
-  sweep::ResultCache(dir).clear();
+  std::filesystem::remove_all(dir);
 
   sweep::SweepOptions options;
   options.use_cache = true;

@@ -25,18 +25,34 @@ SchedTask make_task(TaskId id, std::int64_t items,
   return t;
 }
 
+/// A two-device pool holding `tasks` in ready order.
+ReadyPool pool_of(const std::vector<SchedTask>& tasks) {
+  ReadyPool pool(2);
+  for (const SchedTask& task : tasks) pool.push(task);
+  return pool;
+}
+
+/// The id of the task `sched` picks for `device`, if any.
+std::optional<TaskId> picked(Scheduler& sched, hw::DeviceId device,
+                             const ReadyPool& pool) {
+  const auto handle = sched.pick(device, pool, 0);
+  if (!handle) return std::nullopt;
+  return pool.peek(*handle).id;
+}
+
 TEST(BreadthFirstScheduler, PrefersLocalChain) {
   BreadthFirstScheduler sched;
-  std::vector<SchedTask> pool{make_task(0, 10, kCpu), make_task(1, 10, kGpu)};
-  EXPECT_EQ(sched.pick(kGpu, pool, 0), 1u);
-  EXPECT_EQ(sched.pick(kCpu, pool, 0), 0u);
+  const ReadyPool pool =
+      pool_of({make_task(0, 10, kCpu), make_task(1, 10, kGpu)});
+  EXPECT_EQ(picked(sched, kGpu, pool), 1u);
+  EXPECT_EQ(picked(sched, kCpu, pool), 0u);
 }
 
 TEST(BreadthFirstScheduler, FreshTasksBeforeStealing) {
   BreadthFirstScheduler sched;
-  std::vector<SchedTask> pool{make_task(0, 10, kCpu), make_task(1, 10)};
+  const ReadyPool pool = pool_of({make_task(0, 10, kCpu), make_task(1, 10)});
   // GPU has no local task: takes the fresh one, not the CPU-affine one.
-  EXPECT_EQ(sched.pick(kGpu, pool, 0), 1u);
+  EXPECT_EQ(picked(sched, kGpu, pool), 1u);
 }
 
 TEST(BreadthFirstScheduler, NeverStealsForeignChains) {
@@ -44,24 +60,24 @@ TEST(BreadthFirstScheduler, NeverStealsForeignChains) {
   // this device is idle — the scheduler's only goal is minimizing transfers
   // by keeping chains local (paper Section III-C).
   BreadthFirstScheduler sched;
-  std::vector<SchedTask> pool{make_task(0, 10, kCpu)};
-  EXPECT_EQ(sched.pick(kGpu, pool, 0), std::nullopt);
-  EXPECT_EQ(sched.pick(kCpu, pool, 0), 0u);
+  const ReadyPool pool = pool_of({make_task(0, 10, kCpu)});
+  EXPECT_EQ(picked(sched, kGpu, pool), std::nullopt);
+  EXPECT_EQ(picked(sched, kCpu, pool), 0u);
 }
 
 TEST(BreadthFirstScheduler, RespectsImplementationFlags) {
   BreadthFirstScheduler sched;
   SchedTask cpu_only = make_task(0, 10);
   cpu_only.gpu_ok = false;
-  std::vector<SchedTask> pool{cpu_only};
-  EXPECT_EQ(sched.pick(kGpu, pool, 0), std::nullopt);
-  EXPECT_EQ(sched.pick(kCpu, pool, 0), 0u);
+  const ReadyPool pool = pool_of({cpu_only});
+  EXPECT_EQ(picked(sched, kGpu, pool), std::nullopt);
+  EXPECT_EQ(picked(sched, kCpu, pool), 0u);
 }
 
 TEST(BreadthFirstScheduler, EmptyPoolYieldsNothing) {
   BreadthFirstScheduler sched;
-  std::vector<SchedTask> pool;
-  EXPECT_EQ(sched.pick(kCpu, pool, 0), std::nullopt);
+  const ReadyPool pool(2);
+  EXPECT_EQ(picked(sched, kCpu, pool), std::nullopt);
 }
 
 class PerfAwareTest : public ::testing::Test {

@@ -25,20 +25,35 @@ SchedTask make_task(TaskId id, std::optional<hw::DeviceId> locality) {
   return t;
 }
 
+/// A two-device pool holding `tasks` in ready order.
+ReadyPool pool_of(const std::vector<SchedTask>& tasks) {
+  ReadyPool pool(2);
+  for (const SchedTask& task : tasks) pool.push(task);
+  return pool;
+}
+
+/// The id of the task `sched` picks for `device`, if any.
+std::optional<TaskId> picked(Scheduler& sched, hw::DeviceId device,
+                             const ReadyPool& pool) {
+  const auto handle = sched.pick(device, pool, 0);
+  if (!handle) return std::nullopt;
+  return pool.peek(*handle).id;
+}
+
 TEST(WorkStealingScheduler, PrefersLocalThenFreshThenSteals) {
   WorkStealingScheduler sched;
-  std::vector<SchedTask> pool{make_task(0, kCpu), make_task(1, std::nullopt),
-                              make_task(2, kGpu)};
-  EXPECT_EQ(sched.pick(kGpu, pool, 0), 2u);   // local chain first
+  const ReadyPool pool = pool_of(
+      {make_task(0, kCpu), make_task(1, std::nullopt), make_task(2, kGpu)});
+  EXPECT_EQ(picked(sched, kGpu, pool), 2u);   // local chain first
   EXPECT_EQ(sched.steal_count(), 0u);
 
-  std::vector<SchedTask> no_local{make_task(0, kCpu),
-                                  make_task(1, std::nullopt)};
-  EXPECT_EQ(sched.pick(kGpu, no_local, 0), 1u);  // fresh next
+  const ReadyPool no_local =
+      pool_of({make_task(0, kCpu), make_task(1, std::nullopt)});
+  EXPECT_EQ(picked(sched, kGpu, no_local), 1u);  // fresh next
   EXPECT_EQ(sched.steal_count(), 0u);
 
-  std::vector<SchedTask> only_foreign{make_task(0, kCpu)};
-  EXPECT_EQ(sched.pick(kGpu, only_foreign, 0), 0u);  // steal last
+  const ReadyPool only_foreign = pool_of({make_task(0, kCpu)});
+  EXPECT_EQ(picked(sched, kGpu, only_foreign), 0u);  // steal last
   EXPECT_EQ(sched.steal_count(), 1u);
 }
 
@@ -46,8 +61,8 @@ TEST(WorkStealingScheduler, RespectsImplementationFlags) {
   WorkStealingScheduler sched;
   SchedTask cpu_only = make_task(0, kCpu);
   cpu_only.gpu_ok = false;
-  std::vector<SchedTask> pool{cpu_only};
-  EXPECT_EQ(sched.pick(kGpu, pool, 0), std::nullopt);
+  const ReadyPool pool = pool_of({cpu_only});
+  EXPECT_EQ(picked(sched, kGpu, pool), std::nullopt);
 }
 
 /// End-to-end: on a GPU-friendly single kernel, stealing lets the GPU drain

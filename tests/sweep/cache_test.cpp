@@ -129,16 +129,6 @@ TEST_F(ResultCacheTest, RenameFailureDropsStoreGracefully) {
   EXPECT_EQ(cache.load("good-key").value(), "payload");
 }
 
-TEST_F(ResultCacheTest, ClearRemovesEverything) {
-  ResultCache cache(dir_.string());
-  cache.store("key-a", "a");
-  cache.store("key-b", "b");
-  EXPECT_EQ(cache.clear(), 2u);
-  EXPECT_FALSE(cache.load("key-a").has_value());
-  EXPECT_FALSE(cache.load("key-b").has_value());
-  EXPECT_EQ(cache.clear(), 0u);
-}
-
 TEST_F(ResultCacheTest, DistinctKeysGetDistinctFiles) {
   ResultCache cache(dir_.string());
   EXPECT_NE(cache.path_for("key-a"), cache.path_for("key-b"));

@@ -130,6 +130,26 @@ Args parse(int argc, char** argv) {
   return args;
 }
 
+/// Ceilings of the numeric flags. Thread pools and queues are sized from
+/// them before any work starts, so each stops far short of what would
+/// exhaust the process; --tasks matches what the daemon serves.
+constexpr std::uint64_t kMaxThreads = 256;
+constexpr std::uint64_t kMaxQueue = 1 << 16;
+constexpr std::uint64_t kMaxTasks = serve::kMaxServedTasks;
+constexpr std::uint64_t kMaxRepeats = 1 << 20;
+constexpr std::uint64_t kMaxPort = 65535;
+
+/// Stores numeric flag --`name` in `out` when it is given. Every numeric
+/// flag is read here, so a malformed, negative or oversized value is a
+/// one-line error (exit 1) rather than an uncaught std::stoi exception or
+/// a negative count wrapped to a huge unsigned one.
+template <typename T>
+void read_number(const Args& args, const std::string& name,
+                 std::uint64_t max, T& out) {
+  if (args.flag(name))
+    out = static_cast<T>(parse_bounded_uint(args.get(name), max, "--" + name));
+}
+
 const std::map<std::string, apps::PaperApp>& app_names() {
   static const std::map<std::string, apps::PaperApp> names = {
       {"matrixmul", apps::PaperApp::kMatrixMul},
@@ -172,7 +192,7 @@ serve::QueryRequest request_from_args(const Args& args,
   request.strategy = args.get("strategy");
   request.sync = args.flag("sync");
   request.small = args.flag("small");
-  if (args.flag("tasks")) request.tasks = std::stoi(args.get("tasks"));
+  read_number(args, "tasks", kMaxTasks, request.tasks);
   request.gantt = args.flag("gantt");
   request.json = args.flag("json");
   return request;
@@ -181,8 +201,7 @@ serve::QueryRequest request_from_args(const Args& args,
 strategies::StrategyOptions options_from(const Args& args) {
   strategies::StrategyOptions options;
   options.sync_between_kernels = args.flag("sync");
-  const std::string tasks = args.get("tasks");
-  if (!tasks.empty()) options.task_count = std::stoi(tasks);
+  read_number(args, "tasks", kMaxTasks, options.task_count);
   return options;
 }
 
@@ -387,16 +406,12 @@ int cmd_sweep(const Args& args) {
   std::vector<sweep::Scenario> scenarios = sweep::enumerate_matrix(
       sweep_apps, sweep_strategies, sweep_platforms, sync_variants,
       args.flag("small"));
-  if (args.flag("tasks")) {
-    const int task_count = std::stoi(args.get("tasks"));
-    for (sweep::Scenario& scenario : scenarios)
-      scenario.task_count = task_count;
-  }
+  for (sweep::Scenario& scenario : scenarios)
+    read_number(args, "tasks", kMaxTasks, scenario.task_count);
 
   sweep::SweepOptions options;
   options.parallel = !args.flag("serial");
-  if (args.flag("jobs"))
-    options.jobs = static_cast<unsigned>(std::stoul(args.get("jobs")));
+  read_number(args, "jobs", kMaxThreads, options.jobs);
   options.use_cache = !args.flag("no-cache");
   options.cache_dir = args.get("cache-dir", ".hs-sweep-cache");
 
@@ -469,8 +484,8 @@ int cmd_faults(const Args& args) {
     throw InvalidArgument("unknown fault plan '" + plan_name + "' (" +
                           join(known_plans, ", ") + ")");
   }
-  const std::uint64_t seed =
-      args.flag("seed") ? std::stoull(args.get("seed")) : 0;
+  std::uint64_t seed = 0;
+  read_number(args, "seed", UINT64_MAX, seed);
 
   // --apps takes a list; --app (the single-app spelling every other verb
   // uses) works too.
@@ -497,13 +512,12 @@ int cmd_faults(const Args& args) {
   for (sweep::Scenario& scenario : scenarios) {
     scenario.fault_plan = plan_name;
     scenario.fault_seed = seed;
-    if (args.flag("tasks")) scenario.task_count = std::stoi(args.get("tasks"));
+    read_number(args, "tasks", kMaxTasks, scenario.task_count);
   }
 
   sweep::SweepOptions options;
   options.parallel = !args.flag("serial");
-  if (args.flag("jobs"))
-    options.jobs = static_cast<unsigned>(std::stoul(args.get("jobs")));
+  read_number(args, "jobs", kMaxThreads, options.jobs);
   options.use_cache = !args.flag("no-cache");
   options.cache_dir = args.get("cache-dir", ".hs-sweep-cache");
 
@@ -585,8 +599,8 @@ int cmd_metrics(const Args& args) {
     strategies::StrategyRunner baseline(*baseline_app, options);
     const SimTime horizon =
         std::max<SimTime>(1, baseline.run(kind).report.makespan);
-    const std::uint64_t seed =
-        args.flag("seed") ? std::stoull(args.get("seed")) : 0;
+    std::uint64_t seed = 0;
+    read_number(args, "seed", UINT64_MAX, seed);
     options.fault_plan = faults::make_named_plan(plan_name, horizon, seed,
                                                  platform.device_count());
   }
@@ -664,14 +678,13 @@ int cmd_fuzz(const Args& args) {
   }
 
   check::FuzzOptions options;
-  if (args.flag("seed")) options.base_seed = std::stoull(args.get("seed"));
-  options.iters = args.flag("iters") ? std::stoi(args.get("iters")) : 1;
+  read_number(args, "seed", UINT64_MAX, options.base_seed);
+  read_number(args, "iters", kMaxRepeats, options.iters);
   options.shrink = !args.flag("no-shrink");
   options.plant = args.get("plant");
   if (args.flag("explore"))
     options.explore = rt::explore_mode_from_name(args.get("explore"));
-  if (args.flag("schedules"))
-    options.schedules = std::stoi(args.get("schedules"));
+  read_number(args, "schedules", kMaxRepeats, options.schedules);
   options.serve = args.flag("serve");
   if (args.flag("corpus")) {
     std::ifstream file(args.get("corpus"));
@@ -723,15 +736,12 @@ log::Level log_level_from_name(const std::string& name) {
 
 int cmd_serve(const Args& args) {
   serve::ServeOptions options;
-  if (args.flag("port")) options.port = std::stoi(args.get("port"));
+  read_number(args, "port", kMaxPort, options.port);
   options.host = args.get("host", "127.0.0.1");
-  if (args.flag("workers"))
-    options.workers = static_cast<unsigned>(std::stoul(args.get("workers")));
-  if (args.flag("max-queue"))
-    options.max_queue = std::stoul(args.get("max-queue"));
+  read_number(args, "workers", kMaxThreads, options.workers);
+  read_number(args, "max-queue", kMaxQueue, options.max_queue);
   options.cache_dir = args.get("cache-dir");
-  if (args.flag("trace-capacity"))
-    options.trace_capacity = std::stoul(args.get("trace-capacity"));
+  read_number(args, "trace-capacity", kMaxQueue, options.trace_capacity);
 
   // Structured daemon logging: text lines by default, JSON lines for log
   // shippers; every request line carries its trace_id either way.
@@ -796,7 +806,7 @@ int cmd_query(const Args& args) {
     if (!(std::cin >> tag >> port) || tag != "PORT" || port <= 0)
       throw InvalidArgument("--port-stdin expected 'PORT <n>' on stdin");
   } else if (args.flag("port")) {
-    port = std::stoi(args.get("port"));
+    read_number(args, "port", kMaxPort, port);
   } else {
     throw InvalidArgument("query needs --port <p> or --port-stdin");
   }
